@@ -78,7 +78,7 @@ int main() {
                                                    &stats).OrDie();
   std::printf("nodes deleted=%zu; Mozart now isolated: %s\n",
               stats.nodes_deleted,
-              instance.InEdges(nodes.mozart).empty() ? "yes" : "no");
+              instance.InDegree(nodes.mozart) == 0 ? "yes" : "no");
 
   Banner("Figure 16", "update = edge deletion + edge addition");
   hm::Fig16EdgeDeletion(scheme).ValueOrDie().Apply(&scheme, &instance)

@@ -8,70 +8,6 @@
 
 namespace good::graph {
 
-Instance::Instance(const Instance& other)
-    : nodes_(other.nodes_),
-      num_alive_(other.num_alive_),
-      num_edges_(other.num_edges_),
-      edge_label_count_(other.edge_label_count_),
-      out_degree_sum_(other.out_degree_sum_),
-      in_degree_sum_(other.in_degree_sum_),
-      stats_epoch_(other.stats_epoch_),
-      dirty_classes_(other.dirty_classes_),
-      label_index_(other.label_index_),
-      printable_index_(other.printable_index_),
-      edge_set_(other.edge_set_) {}
-
-Instance& Instance::operator=(const Instance& other) {
-  if (this == &other) return *this;
-  nodes_ = other.nodes_;
-  num_alive_ = other.num_alive_;
-  num_edges_ = other.num_edges_;
-  edge_label_count_ = other.edge_label_count_;
-  out_degree_sum_ = other.out_degree_sum_;
-  in_degree_sum_ = other.in_degree_sum_;
-  stats_epoch_ = other.stats_epoch_;
-  dirty_classes_ = other.dirty_classes_;
-  label_index_ = other.label_index_;
-  printable_index_ = other.printable_index_;
-  edge_set_ = other.edge_set_;
-  journal_ = nullptr;
-  return *this;
-}
-
-Instance::Instance(Instance&& other) noexcept
-    : nodes_(std::move(other.nodes_)),
-      num_alive_(other.num_alive_),
-      num_edges_(other.num_edges_),
-      edge_label_count_(std::move(other.edge_label_count_)),
-      out_degree_sum_(std::move(other.out_degree_sum_)),
-      in_degree_sum_(std::move(other.in_degree_sum_)),
-      stats_epoch_(other.stats_epoch_),
-      dirty_classes_(std::move(other.dirty_classes_)),
-      label_index_(std::move(other.label_index_)),
-      printable_index_(std::move(other.printable_index_)),
-      edge_set_(std::move(other.edge_set_)),
-      journal_(other.journal_) {
-  other.journal_ = nullptr;
-}
-
-Instance& Instance::operator=(Instance&& other) noexcept {
-  if (this == &other) return *this;
-  nodes_ = std::move(other.nodes_);
-  num_alive_ = other.num_alive_;
-  num_edges_ = other.num_edges_;
-  edge_label_count_ = std::move(other.edge_label_count_);
-  out_degree_sum_ = std::move(other.out_degree_sum_);
-  in_degree_sum_ = std::move(other.in_degree_sum_);
-  stats_epoch_ = other.stats_epoch_;
-  dirty_classes_ = std::move(other.dirty_classes_);
-  label_index_ = std::move(other.label_index_);
-  printable_index_ = std::move(other.printable_index_);
-  edge_set_ = std::move(other.edge_set_);
-  journal_ = other.journal_;
-  other.journal_ = nullptr;
-  return *this;
-}
-
 uint64_t Instance::NextStatsEpoch() {
   // Process-wide: epochs are unique across ALL instances, so a plan
   // cached under (pattern, epoch) can never be confused between two
@@ -84,7 +20,6 @@ uint64_t Instance::NextStatsEpoch() {
 
 void Instance::NoteEdgeAddedStats(Symbol edge_label, Symbol source_label,
                                   Symbol target_label) {
-  ++edge_label_count_[edge_label];
   ++out_degree_sum_[StatsKey(edge_label, source_label)];
   ++in_degree_sum_[StatsKey(edge_label, target_label)];
 }
@@ -95,14 +30,13 @@ void Instance::NoteEdgeRemovedStats(Symbol edge_label, Symbol source_label,
     auto it = map->find(key);
     if (--it->second == 0) map->erase(it);
   };
-  decrement(&edge_label_count_, edge_label);
   decrement(&out_degree_sum_, StatsKey(edge_label, source_label));
   decrement(&in_degree_sum_, StatsKey(edge_label, target_label));
 }
 
 NodeId Instance::NewNode(Symbol label, std::optional<Value> print) {
   NodeId id{static_cast<uint32_t>(nodes_.size())};
-  nodes_.push_back(NodeRep{label, std::move(print), true, {}, {}, {}, {}});
+  nodes_.push_back(NodeRep{label, std::move(print), true, {}, {}});
   ++num_alive_;
   label_index_[label].insert(id.id);
   BumpStatsEpoch();
@@ -174,11 +108,7 @@ Result<NodeId> Instance::RestoreNodeAt(const schema::Scheme& scheme,
     return Status::InvalidArgument("'" + SymName(label) +
                                    "' is not a label of the scheme");
   }
-  // Dead filler: invisible to every query (HasNode checks alive), never
-  // revived (the undo journal only records nodes that were once alive).
-  while (nodes_.size() < id.id) {
-    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}, {}, {}});
-  }
+  ReserveNodeFrontier(id.id);
   std::optional<Value> dedup_key = print;
   NodeId got = NewNode(label, std::move(print));
   if (dedup_key.has_value()) {
@@ -188,17 +118,17 @@ Result<NodeId> Instance::RestoreNodeAt(const schema::Scheme& scheme,
 }
 
 void Instance::ReserveNodeFrontier(size_t frontier) {
+  // Dead filler: invisible to every query (HasNode checks alive), never
+  // revived (the undo journal only records nodes that were once alive).
   while (nodes_.size() < frontier) {
-    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}, {}, {}});
+    nodes_.push_back(NodeRep{Symbol{}, std::nullopt, false, {}, {}});
   }
 }
 
 namespace {
 
-/// Removes the first occurrence of `value` from `vec` (order-preserving).
-void EraseFirst(std::vector<NodeId>* vec, NodeId value) {
-  auto it = std::find(vec->begin(), vec->end(), value);
-  if (it != vec->end()) vec->erase(it);
+bool Contains(const std::vector<NodeId>& list, NodeId node) {
+  return std::find(list.begin(), list.end(), node) != list.end();
 }
 
 }  // namespace
@@ -208,63 +138,50 @@ Status Instance::RemoveNode(NodeId node) {
     return Status::NotFound("node #" + std::to_string(node.id) +
                             " does not exist");
   }
+  NodeRep& rep = nodes_[node.id];  // RemoveEdge never reallocates nodes_.
   if (journal_ != nullptr) {
     // Journaled path: detach each incident edge through RemoveEdge so
-    // its exact list positions are recorded, then kill the node. The
-    // edge lists are copied because RemoveEdge mutates them; a
-    // self-loop appears in both copies, and its second removal is an
-    // idempotent no-op. The rep keeps its label and print value (the
-    // kill-undo revives them in place) and its emptied per-label
-    // entries — both invisible to every query.
-    const std::vector<std::pair<Symbol, NodeId>> out = nodes_[node.id].out;
-    const std::vector<std::pair<NodeId, Symbol>> in = nodes_[node.id].in;
-    for (const auto& [label, target] : out) {
-      GOOD_RETURN_NOT_OK(RemoveEdge(node, label, target));
+    // its exact group positions are recorded, then kill the node. The
+    // groups are copied because RemoveEdge mutates them; a self-loop
+    // appears in both copies, and its second removal is an idempotent
+    // no-op. The rep keeps its label and print value (the kill-undo
+    // revives them in place) and its emptied per-label groups — both
+    // invisible to every query.
+    const std::vector<LabelGroup> out = rep.out_by_label.entries;
+    const std::vector<LabelGroup> in = rep.in_by_label.entries;
+    for (const auto& [label, targets] : out) {
+      for (NodeId target : targets) {
+        GOOD_RETURN_NOT_OK(RemoveEdge(node, label, target));
+      }
     }
-    for (const auto& [source, label] : in) {
-      GOOD_RETURN_NOT_OK(RemoveEdge(source, label, node));
+    for (const auto& [label, sources] : in) {
+      for (NodeId source : sources) {
+        GOOD_RETURN_NOT_OK(RemoveEdge(source, label, node));
+      }
     }
-    NodeRep& rep = nodes_[node.id];
-    rep.alive = false;
-    --num_alive_;
-    label_index_[rep.label].erase(node.id);
-    if (rep.print.has_value()) {
-      printable_index_[rep.label].erase(*rep.print);
+  } else {
+    // Detach incident edges from the neighbours' mirror groups. A
+    // self-loop is removed here (it sits in rep's out-group); the
+    // second loop only sees the in-edges that survive this one.
+    for (const auto& [label, targets] : rep.out_by_label.entries) {
+      for (NodeId target : targets) {
+        std::erase(nodes_[target.id].in_by_label[label], node);
+        --num_edges_;
+        NoteEdgeRemovedStats(label, rep.label, nodes_[target.id].label);
+      }
     }
-    BumpStatsEpoch();
-    MarkClassDirty(rep.label);
-    journal_->RecordNodeKilled(node);
-    return Status::OK();
+    for (const auto& [label, sources] : rep.in_by_label.entries) {
+      for (NodeId source : sources) {
+        std::erase(nodes_[source.id].out_by_label[label], node);
+        --num_edges_;
+        NoteEdgeRemovedStats(label, nodes_[source.id].label, rep.label);
+        // The detached in-edge lived in the *source's* partition.
+        MarkClassDirty(nodes_[source.id].label);
+      }
+    }
+    rep.out_by_label.entries.clear();
+    rep.in_by_label.entries.clear();
   }
-  NodeRep& rep = nodes_[node.id];
-  // Detach incident edges from the neighbours' mirror lists. A self-loop
-  // is removed here (it appears in rep.out); the second loop only sees
-  // the in-edges that survive this one.
-  for (const auto& [label, target] : rep.out) {
-    auto& in = nodes_[target.id].in;
-    in.erase(std::remove(in.begin(), in.end(), std::make_pair(node, label)),
-             in.end());
-    EraseFirst(&nodes_[target.id].in_by_label[label], node);
-    edge_set_.erase(Edge{node, label, target});
-    --num_edges_;
-    NoteEdgeRemovedStats(label, rep.label, nodes_[target.id].label);
-  }
-  for (const auto& [source, label] : rep.in) {
-    auto& out = nodes_[source.id].out;
-    out.erase(
-        std::remove(out.begin(), out.end(), std::make_pair(label, node)),
-        out.end());
-    EraseFirst(&nodes_[source.id].out_by_label[label], node);
-    edge_set_.erase(Edge{source, label, node});
-    --num_edges_;
-    NoteEdgeRemovedStats(label, nodes_[source.id].label, rep.label);
-    // The detached in-edge lived in the *source's* partition.
-    MarkClassDirty(nodes_[source.id].label);
-  }
-  rep.out.clear();
-  rep.in.clear();
-  rep.out_by_label.clear();
-  rep.in_by_label.clear();
   rep.alive = false;
   --num_alive_;
   label_index_[rep.label].erase(node.id);
@@ -273,6 +190,7 @@ Status Instance::RemoveNode(NodeId node) {
   }
   BumpStatsEpoch();
   MarkClassDirty(rep.label);
+  if (journal_ != nullptr) journal_->RecordNodeKilled(node);
   return Status::OK();
 }
 
@@ -309,11 +227,8 @@ Status Instance::AddEdge(const schema::Scheme& scheme, NodeId source,
   const bool fresh_in_entry =
       journal_ != nullptr &&
       nodes_[target.id].in_by_label.Find(label) == nullptr;
-  nodes_[source.id].out.emplace_back(label, target);
-  nodes_[target.id].in.emplace_back(source, label);
   nodes_[source.id].out_by_label[label].push_back(target);
   nodes_[target.id].in_by_label[label].push_back(source);
-  edge_set_.insert(Edge{source, label, target});
   ++num_edges_;
   NoteEdgeAddedStats(label, source_label, target_label);
   BumpStatsEpoch();
@@ -326,19 +241,10 @@ Status Instance::AddEdge(const schema::Scheme& scheme, NodeId source,
 }
 
 Status Instance::RemoveEdge(NodeId source, Symbol label, NodeId target) {
-  if (!HasNode(source) || !HasNode(target)) return Status::OK();
-  if (edge_set_.erase(Edge{source, label, target}) == 0) return Status::OK();
+  if (!HasEdge(source, label, target)) return Status::OK();
   // Each erase records the position it vacates; the journal's undo
-  // re-inserts there, so list orderings survive a rollback exactly.
+  // re-inserts there, so group orderings survive a rollback exactly.
   // (Edges are sets, so every find hits the unique occurrence.)
-  auto& out = nodes_[source.id].out;
-  auto oit = std::find(out.begin(), out.end(), std::make_pair(label, target));
-  const auto out_pos = static_cast<uint32_t>(oit - out.begin());
-  out.erase(oit);
-  auto& in = nodes_[target.id].in;
-  auto iit = std::find(in.begin(), in.end(), std::make_pair(source, label));
-  const auto in_pos = static_cast<uint32_t>(iit - in.begin());
-  in.erase(iit);
   auto& out_list = nodes_[source.id].out_by_label[label];
   auto olit = std::find(out_list.begin(), out_list.end(), target);
   const auto out_label_pos = static_cast<uint32_t>(olit - out_list.begin());
@@ -352,8 +258,8 @@ Status Instance::RemoveEdge(NodeId source, Symbol label, NodeId target) {
   BumpStatsEpoch();
   MarkClassDirty(LabelOf(source));
   if (journal_ != nullptr) {
-    journal_->RecordEdgeRemoved(source, label, target, out_pos, in_pos,
-                                out_label_pos, in_label_pos);
+    journal_->RecordEdgeRemoved(source, label, target, out_label_pos,
+                                in_label_pos);
   }
   return Status::OK();
 }
@@ -373,8 +279,11 @@ size_t Instance::CountNodesWithLabel(Symbol label) const {
 }
 
 size_t Instance::CountEdgesWithLabel(Symbol label) const {
-  auto it = edge_label_count_.find(label);
-  return it == edge_label_count_.end() ? 0 : it->second;
+  size_t count = 0;
+  for (const auto& [key, sum] : out_degree_sum_) {
+    if (key >> 32 == label.id) count += sum;
+  }
+  return count;
 }
 
 size_t Instance::OutDegreeSum(Symbol source_label, Symbol edge_label) const {
@@ -447,12 +356,21 @@ const std::vector<NodeId>& Instance::InSources(NodeId node,
   return found != nullptr ? *found : EmptyAdjacency();
 }
 
+bool Instance::HasEdge(NodeId source, Symbol label, NodeId target) const {
+  if (source.id >= nodes_.size() || target.id >= nodes_.size()) return false;
+  const auto* targets = nodes_[source.id].out_by_label.Find(label);
+  const auto* sources = nodes_[target.id].in_by_label.Find(label);
+  if (targets == nullptr || sources == nullptr) return false;
+  return targets->size() <= sources->size() ? Contains(*targets, target)
+                                            : Contains(*sources, source);
+}
+
 std::vector<Edge> Instance::AllEdges() const {
   std::vector<Edge> out;
   out.reserve(num_edges_);
   for (uint32_t i = 0; i < nodes_.size(); ++i) {
     if (!nodes_[i].alive) continue;
-    for (const auto& [label, target] : nodes_[i].out) {
+    for (const auto& [label, target] : OutEdges(NodeId{i})) {
       out.push_back(Edge{NodeId{i}, label, target});
     }
   }
@@ -461,143 +379,119 @@ std::vector<Edge> Instance::AllEdges() const {
 }
 
 Status Instance::Validate(const schema::Scheme& scheme) const {
+  // One pass over the alive nodes checks scheme conformance and
+  // mirroring, and takes the censuses the indexes and statistics must
+  // match.
+  std::unordered_map<Symbol, size_t> label_census, printable_census;
+  std::unordered_map<uint64_t, size_t> out_sum_census, in_sum_census;
+  size_t out_total = 0;
+  size_t in_total = 0;
   for (uint32_t i = 0; i < nodes_.size(); ++i) {
     const NodeRep& rep = nodes_[i];
     if (!rep.alive) continue;
+    const NodeId node{i};
     const std::string node_name = "node #" + std::to_string(i);
+    ++label_census[rep.label];
     if (!scheme.IsNodeLabel(rep.label)) {
       return Status::Internal(node_name + " label '" + SymName(rep.label) +
                               "' not a node label of the scheme");
     }
-    if (scheme.IsPrintableLabel(rep.label)) {
-      if (rep.print.has_value()) {
-        auto domain = scheme.DomainOf(rep.label);
-        GOOD_RETURN_NOT_OK(domain.status());
-        if (rep.print->kind() != *domain) {
-          return Status::Internal(node_name + " print value outside domain");
-        }
+    if (rep.print.has_value()) {
+      if (!scheme.IsPrintableLabel(rep.label)) {
+        return Status::Internal(node_name +
+                                " is an object but has a print value");
       }
-    } else if (rep.print.has_value()) {
-      return Status::Internal(node_name + " is an object but has a print value");
+      ++printable_census[rep.label];
+      GOOD_ASSIGN_OR_RETURN(ValueKind domain, scheme.DomainOf(rep.label));
+      if (rep.print->kind() != domain) {
+        return Status::Internal(node_name + " print value outside domain");
+      }
     }
-    // Edge typing, functional uniqueness, equal successor labels.
-    std::unordered_map<Symbol, Symbol> successor_label;
-    std::unordered_map<Symbol, int> functional_count;
-    for (const auto& [label, target] : rep.out) {
-      if (!HasNode(target)) {
-        return Status::Internal(node_name + " has an edge to a dead node");
-      }
-      if (!scheme.HasTriple(rep.label, label, LabelOf(target))) {
-        return Status::Internal(node_name + " edge '" + SymName(label) +
-                                "' not licensed by scheme");
-      }
-      auto [it, inserted] = successor_label.emplace(label, LabelOf(target));
-      if (!inserted && it->second != LabelOf(target)) {
-        return Status::Internal(node_name + " has '" + SymName(label) +
-                                "' successors with unequal labels");
-      }
-      if (scheme.IsFunctionalEdgeLabel(label) &&
-          ++functional_count[label] > 1) {
+    // Edge typing, functional uniqueness, equal successor labels, and
+    // the in-group mirror of every out-group entry.
+    for (const auto& [label, targets] : rep.out_by_label.entries) {
+      out_total += targets.size();
+      if (scheme.IsFunctionalEdgeLabel(label) && targets.size() > 1) {
         return Status::Internal(node_name + " has multiple functional '" +
                                 SymName(label) + "' edges");
       }
+      for (NodeId target : targets) {
+        if (!HasNode(target)) {
+          return Status::Internal(node_name + " has an edge to a dead node");
+        }
+        if (!scheme.HasTriple(rep.label, label, LabelOf(target))) {
+          return Status::Internal(node_name + " edge '" + SymName(label) +
+                                  "' not licensed by scheme");
+        }
+        if (LabelOf(target) != LabelOf(targets.front())) {
+          return Status::Internal(node_name + " has '" + SymName(label) +
+                                  "' successors with unequal labels");
+        }
+        if (!Contains(InSources(target, label), node)) {
+          return Status::Internal(
+              node_name + " '" + SymName(label) + "' edge to node #" +
+              std::to_string(target.id) + " missing from its in-group");
+        }
+        ++out_sum_census[StatsKey(label, rep.label)];
+        ++in_sum_census[StatsKey(label, LabelOf(target))];
+      }
     }
-  }
-  // Printable dedup.
-  for (const auto& [label, by_value] : printable_index_) {
-    for (const auto& [value, id] : by_value) {
-      (void)value;
-      if (!nodes_[id].alive) {
-        return Status::Internal("printable index points at dead node");
+    for (const auto& [label, sources] : rep.in_by_label.entries) {
+      in_total += sources.size();
+      for (NodeId source : sources) {
+        if (!HasNode(source) || !Contains(OutTargets(source, label), node)) {
+          return Status::Internal(
+              node_name + " '" + SymName(label) + "' edge from node #" +
+              std::to_string(source.id) + " missing from its out-group");
+        }
       }
     }
   }
-  std::unordered_map<Symbol, size_t> printable_census;
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].alive && nodes_[i].print.has_value()) {
-      ++printable_census[nodes_[i].label];
+  if (out_total != num_edges_ || in_total != num_edges_) {
+    return Status::Internal("adjacency totals disagree with the edge count");
+  }
+  // Printable dedup: every index entry names the alive node carrying
+  // exactly that (label, value), and each label's entry count equals
+  // its valued-node census (a duplicate node leaves one unindexed).
+  for (const auto& [label, by_value] : printable_index_) {
+    for (const auto& [value, id] : by_value) {
+      if (id >= nodes_.size() || !nodes_[id].alive ||
+          nodes_[id].label != label || nodes_[id].print != value) {
+        return Status::Internal("printable index entry (" + SymName(label) +
+                                ", " + value.ToString() + ") names node #" +
+                                std::to_string(id) +
+                                ", which is dead or carries another value");
+      }
     }
   }
   for (const auto& [label, count] : printable_census) {
     auto it = printable_index_.find(label);
-    size_t indexed = it == printable_index_.end() ? 0 : it->second.size();
-    if (indexed != count) {
+    if (it == printable_index_.end() || it->second.size() != count) {
       return Status::Internal("duplicate printable nodes for label '" +
                               SymName(label) + "'");
     }
   }
-  // Adjacency indexes must mirror the edge lists exactly.
-  size_t counted_edges = 0;
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    const NodeRep& rep = nodes_[i];
-    if (!rep.alive) continue;
-    const std::string node_name = "node #" + std::to_string(i);
-    std::unordered_map<Symbol, size_t> out_census, in_census;
-    for (const auto& [label, target] : rep.out) {
-      ++out_census[label];
-      ++counted_edges;
-      if (!edge_set_.contains(Edge{NodeId{i}, label, target})) {
-        return Status::Internal(node_name + " edge missing from edge set");
-      }
-      const auto& targets = OutTargets(NodeId{i}, label);
-      if (std::find(targets.begin(), targets.end(), target) ==
-          targets.end()) {
-        return Status::Internal(node_name + " edge missing from out index");
-      }
-    }
-    for (const auto& [source, label] : rep.in) {
-      ++in_census[label];
-      const auto& sources = InSources(NodeId{i}, label);
-      if (std::find(sources.begin(), sources.end(), source) ==
-          sources.end()) {
-        return Status::Internal(node_name + " edge missing from in index");
-      }
-    }
-    for (const auto& [label, targets] : rep.out_by_label.entries) {
-      if (targets.size() != out_census[label]) {
-        return Status::Internal(node_name + " out index size mismatch for '" +
-                                SymName(label) + "'");
-      }
-    }
-    for (const auto& [label, sources] : rep.in_by_label.entries) {
-      if (sources.size() != in_census[label]) {
-        return Status::Internal(node_name + " in index size mismatch for '" +
-                                SymName(label) + "'");
-      }
-    }
-  }
-  if (counted_edges != num_edges_ || edge_set_.size() != num_edges_) {
-    return Status::Internal("edge count disagrees with edge set");
-  }
-  // The label index must mirror the node census exactly.
-  size_t indexed_nodes = 0;
+  // The label index must mirror the node census exactly: every listed
+  // id is alive under that label, and each label's size matches.
   for (const auto& [label, ids] : label_index_) {
-    indexed_nodes += ids.size();
     for (uint32_t id : ids) {
       if (id >= nodes_.size() || !nodes_[id].alive ||
           nodes_[id].label != label) {
         return Status::Internal("label index entry for '" + SymName(label) +
-                                "' names a dead or relabeled node");
+                                "' names node #" + std::to_string(id) +
+                                ", which is dead or relabeled");
       }
     }
   }
-  if (indexed_nodes != num_alive_) {
-    return Status::Internal("label index size disagrees with alive count");
-  }
-  // Cardinality statistics (the cost planner's inputs) must mirror a
-  // from-scratch edge census exactly — a missed maintenance hook on any
-  // mutation path fails loudly here instead of silently skewing plans.
-  std::unordered_map<Symbol, size_t> edge_label_census;
-  std::unordered_map<uint64_t, size_t> out_sum_census, in_sum_census;
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    const NodeRep& rep = nodes_[i];
-    if (!rep.alive) continue;
-    for (const auto& [label, target] : rep.out) {
-      ++edge_label_census[label];
-      ++out_sum_census[StatsKey(label, rep.label)];
-      ++in_sum_census[StatsKey(label, nodes_[target.id].label)];
+  for (const auto& [label, count] : label_census) {
+    if (CountNodesWithLabel(label) != count) {
+      return Status::Internal("label index for '" + SymName(label) +
+                              "' misses alive nodes");
     }
   }
+  // Cardinality statistics (the cost planner's inputs) must mirror the
+  // edge census exactly — a missed maintenance hook on any mutation
+  // path fails loudly here instead of silently skewing plans.
   auto same_counts = [](const auto& stored, const auto& census) {
     // Zero-valued stats entries are erased, so equal supports + equal
     // values means exact agreement.
@@ -608,9 +502,6 @@ Status Instance::Validate(const schema::Scheme& scheme) const {
     }
     return true;
   };
-  if (!same_counts(edge_label_count_, edge_label_census)) {
-    return Status::Internal("edge-label count stats drifted from edge census");
-  }
   if (!same_counts(out_degree_sum_, out_sum_census)) {
     return Status::Internal("out-degree sum stats drifted from edge census");
   }

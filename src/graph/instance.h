@@ -17,13 +17,17 @@
 #ifndef GOOD_GRAPH_INSTANCE_H_
 #define GOOD_GRAPH_INSTANCE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -36,6 +40,9 @@
 namespace good::graph {
 
 class UndoJournal;
+/// Test-only access to the private indexes, for damaging them on
+/// purpose (defined under tests/, never in the library).
+class InstanceCorruptor;
 
 /// \brief Opaque object identity. The paper's objects "exist
 /// independently of their properties"; a NodeId is that identity.
@@ -59,7 +66,7 @@ struct Edge {
   friend auto operator<=>(const Edge&, const Edge&) = default;
 };
 
-/// \brief Hash for Edge, enabling the O(1) edge-membership index.
+/// \brief Hash for Edge (pattern edge sets, write footprints).
 struct EdgeHash {
   size_t operator()(const Edge& e) const {
     size_t seed = std::hash<uint32_t>{}(e.source.id);
@@ -67,6 +74,79 @@ struct EdgeHash {
     HashCombine(&seed, e.target.id);
     return seed;
   }
+};
+
+/// One per-label adjacency group of a node: an edge label and the
+/// node's neighbours along it, in insertion order.
+using LabelGroup = std::pair<Symbol, std::vector<NodeId>>;
+
+/// \brief A read-only view over one node's per-label adjacency groups,
+/// flattened to edge pairs: (label, target) for out-edges (`kOut`),
+/// (source, label) for in-edges. Groups come in label first-use order,
+/// neighbours in insertion order within a group. Any mutation of the
+/// instance invalidates the view; copy the edges out first when
+/// mutating while iterating.
+template <bool kOut>
+class AdjacencyView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::conditional_t<kOut, std::pair<Symbol, NodeId>,
+                                          std::pair<NodeId, Symbol>>;
+    using difference_type = std::ptrdiff_t;
+    using reference = value_type;
+
+    iterator() = default;
+    iterator(const LabelGroup* group, const LabelGroup* end)
+        : group_(group), end_(end) {
+      SkipEmptyGroups();
+    }
+
+    value_type operator*() const {
+      if constexpr (kOut) {
+        return {group_->first, group_->second[index_]};
+      } else {
+        return {group_->second[index_], group_->first};
+      }
+    }
+    iterator& operator++() {
+      if (++index_ == group_->second.size()) {
+        ++group_;
+        index_ = 0;
+        SkipEmptyGroups();
+      }
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.group_ == b.group_ && a.index_ == b.index_;
+    }
+
+   private:
+    // Removals leave emptied groups in place; iteration steps over them.
+    void SkipEmptyGroups() {
+      while (group_ != end_ && group_->second.empty()) ++group_;
+    }
+
+    const LabelGroup* group_ = nullptr;
+    const LabelGroup* end_ = nullptr;
+    size_t index_ = 0;
+  };
+
+  explicit AdjacencyView(const std::vector<LabelGroup>& groups)
+      : begin_(groups.data()), end_(groups.data() + groups.size()) {}
+
+  iterator begin() const { return iterator(begin_, end_); }
+  iterator end() const { return iterator(end_, end_); }
+
+ private:
+  const LabelGroup* begin_;
+  const LabelGroup* end_;
 };
 
 /// \brief An object base instance over some scheme.
@@ -83,12 +163,12 @@ class Instance {
   /// Copies snapshot the graph but never the journal attachment: a
   /// journal records mutations of one specific instance, so a copy
   /// taken mid-transaction starts un-journaled.
-  Instance(const Instance& other);
-  Instance& operator=(const Instance& other);
+  Instance(const Instance&) = default;
+  Instance& operator=(const Instance&) = default;
   /// Moves transfer the journal attachment (the recorded state now
   /// lives in the destination) and detach the source.
-  Instance(Instance&& other) noexcept;
-  Instance& operator=(Instance&& other) noexcept;
+  Instance(Instance&&) noexcept = default;
+  Instance& operator=(Instance&&) noexcept = default;
 
   // ---- Undo journaling -----------------------------------------------------
 
@@ -185,18 +265,20 @@ class Instance {
 
   // ---- Edge queries ----------------------------------------------------------
 
-  /// O(1) expected: backed by a whole-instance edge hash set.
-  bool HasEdge(NodeId source, Symbol label, NodeId target) const {
-    return edge_set_.contains(Edge{source, label, target});
-  }
+  /// Scans the shorter of OutTargets(source, label) and
+  /// InSources(target, label): O(min of the two degrees).
+  bool HasEdge(NodeId source, Symbol label, NodeId target) const;
 
-  /// Outgoing edges of `node` as (edge label, target) pairs.
-  const std::vector<std::pair<Symbol, NodeId>>& OutEdges(NodeId node) const {
-    return nodes_[node.id].out;
+  /// Outgoing edges of `node` as (edge label, target) pairs, grouped by
+  /// label: labels in first-use order, targets in insertion order
+  /// within a label. The view is invalidated by mutation.
+  AdjacencyView<true> OutEdges(NodeId node) const {
+    return AdjacencyView<true>(nodes_[node.id].out_by_label.entries);
   }
-  /// Incoming edges of `node` as (source, edge label) pairs.
-  const std::vector<std::pair<NodeId, Symbol>>& InEdges(NodeId node) const {
-    return nodes_[node.id].in;
+  /// Incoming edges of `node` as (source, edge label) pairs, grouped by
+  /// label like OutEdges.
+  AdjacencyView<false> InEdges(NodeId node) const {
+    return AdjacencyView<false>(nodes_[node.id].in_by_label.entries);
   }
 
   /// Targets of `label`-edges leaving `node`. Index-backed: no scan over
@@ -208,13 +290,13 @@ class Instance {
   /// reference is invalidated by mutation.
   const std::vector<NodeId>& InSources(NodeId node, Symbol label) const;
 
-  /// Number of `label`-edges leaving `node` (no materialization).
-  size_t OutDegree(NodeId node, Symbol label) const {
-    return OutTargets(node, label).size();
+  /// Number of edges leaving `node`, over all labels.
+  size_t OutDegree(NodeId node) const {
+    return nodes_[node.id].out_by_label.TotalSize();
   }
-  /// Number of `label`-edges entering `node` (no materialization).
-  size_t InDegree(NodeId node, Symbol label) const {
-    return InSources(node, label).size();
+  /// Number of edges entering `node`, over all labels.
+  size_t InDegree(NodeId node) const {
+    return nodes_[node.id].in_by_label.TotalSize();
   }
 
   /// Every alive edge, ascending by (source, label, target).
@@ -227,14 +309,14 @@ class Instance {
   //
   // Incrementally maintained census counters feeding the cost-based
   // pattern planner (pattern/matcher.cc): per-label node counts (the
-  // label index), per-edge-label edge counts, and per-(edge label,
-  // endpoint label) degree sums. Every mutation — including undo-journal
-  // rollback replay — stamps the instance with a fresh, process-globally
-  // unique stats epoch, so a (pattern, epoch) pair pins down a compiled
-  // plan's statistical inputs exactly: two instances share an epoch only
-  // when one is an unmutated copy of the other (copies snapshot the
-  // stats, so sharing is sound — this is what lets server sessions'
-  // working copies reuse cached plans).
+  // label index) and per-(edge label, endpoint label) degree sums. Every
+  // mutation — including undo-journal rollback replay — stamps the
+  // instance with a fresh, process-globally unique stats epoch, so a
+  // (pattern, epoch) pair pins down a compiled plan's statistical inputs
+  // exactly: two instances share an epoch only when one is an unmutated
+  // copy of the other (copies snapshot the stats, so sharing is sound —
+  // this is what lets server sessions' working copies reuse cached
+  // plans).
 
   /// The epoch stamped by the most recent mutation; 0 for a never-mutated
   /// instance.
@@ -260,7 +342,7 @@ class Instance {
   /// partitions are durably rewritten.
   void ClearDirtyClasses() { dirty_classes_.clear(); }
 
-  /// Number of alive edges carrying `label`.
+  /// Number of alive edges carrying `label` (sum of its out-degree sums).
   size_t CountEdgesWithLabel(Symbol label) const;
 
   /// Total `edge_label`-out-degree summed over alive nodes labeled
@@ -295,12 +377,15 @@ class Instance {
 
  private:
   friend class UndoJournal;
+  friend class InstanceCorruptor;
 
   /// Per-label adjacency stored flat: a node touches few distinct edge
   /// labels, so a linear scan over a contiguous array beats a per-node
-  /// hash map on the matcher hot path and costs far less memory.
+  /// hash map on the matcher hot path and costs far less memory. This
+  /// is the only edge storage; unlabeled iteration (OutEdges/InEdges)
+  /// walks the groups.
   struct LabelAdjacency {
-    std::vector<std::pair<Symbol, std::vector<NodeId>>> entries;
+    std::vector<LabelGroup> entries;
 
     std::vector<NodeId>& operator[](Symbol label) {
       for (auto& [l, list] : entries) {
@@ -315,17 +400,19 @@ class Instance {
       }
       return nullptr;
     }
-    void clear() { entries.clear(); }
+    size_t TotalSize() const {
+      size_t total = 0;
+      for (const auto& [l, list] : entries) total += list.size();
+      return total;
+    }
   };
 
   struct NodeRep {
     Symbol label;
     std::optional<Value> print;
     bool alive = true;
-    std::vector<std::pair<Symbol, NodeId>> out;
-    std::vector<std::pair<NodeId, Symbol>> in;
-    // Per-label adjacency (insertion order preserved): the matcher hot
-    // path reads these instead of scanning `out`/`in`.
+    // Each edge (m, α, n) sits once in m's out-group for α and once in
+    // n's in-group for α (insertion order preserved).
     LabelAdjacency out_by_label;
     LabelAdjacency in_by_label;
   };
@@ -351,7 +438,6 @@ class Instance {
   size_t num_edges_ = 0;
   // Cardinality statistics (see the accessor block above). Zero-valued
   // entries are erased so the maps' supports stay exact.
-  std::unordered_map<Symbol, size_t> edge_label_count_;
   std::unordered_map<uint64_t, size_t> out_degree_sum_;
   std::unordered_map<uint64_t, size_t> in_degree_sum_;
   uint64_t stats_epoch_ = 0;
@@ -362,10 +448,35 @@ class Instance {
   std::unordered_map<Symbol, std::set<uint32_t>> label_index_;
   // printable label -> value -> node id.
   std::unordered_map<Symbol, std::map<Value, uint32_t>> printable_index_;
-  // Every alive edge, for O(1) HasEdge.
-  std::unordered_set<Edge, EdgeHash> edge_set_;
+  /// The journal attachment, with the copy and move rules of the
+  /// special members above: copies start detached, moves transfer it.
+  class JournalSlot {
+   public:
+    JournalSlot() = default;
+    JournalSlot(const JournalSlot&) {}
+    JournalSlot(JournalSlot&& other) noexcept
+        : journal_(std::exchange(other.journal_, nullptr)) {}
+    JournalSlot& operator=(const JournalSlot& other) {
+      if (this != &other) journal_ = nullptr;
+      return *this;
+    }
+    JournalSlot& operator=(JournalSlot&& other) noexcept {
+      journal_ = std::exchange(other.journal_, nullptr);
+      return *this;
+    }
+    JournalSlot& operator=(UndoJournal* journal) {
+      journal_ = journal;
+      return *this;
+    }
+    operator UndoJournal*() const { return journal_; }
+    UndoJournal* operator->() const { return journal_; }
+
+   private:
+    UndoJournal* journal_ = nullptr;
+  };
+
   // Inverse-mutation recorder; nullptr outside transactions. Not owned.
-  UndoJournal* journal_ = nullptr;
+  JournalSlot journal_;
 };
 
 }  // namespace good::graph

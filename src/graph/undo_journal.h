@@ -6,12 +6,12 @@
 /// killed, edge added, edge removed — and each has an exact inverse.
 /// An UndoJournal attached to an Instance (Instance::AttachJournal)
 /// records one entry per micro-mutation *at the moment it happens*, so
-/// every positional detail (where an edge sat in its adjacency lists,
-/// whether a per-label index entry was freshly created) is captured
-/// while it is still valid. RollbackTo replays the entries in strict
+/// every positional detail (where an edge sat in its source's out-group
+/// and its target's in-group, whether the add created either per-label
+/// group) is captured while it is still valid. RollbackTo replays the entries in strict
 /// reverse order; by induction each undo runs against exactly the state
 /// its mutation produced, so the instance is restored byte-for-byte:
-/// the same node ids, the same edge-list orderings, the same index
+/// the same node ids, the same per-label group orderings, the same index
 /// shapes. That exactness is what lets a failed operation inside a
 /// larger program roll back without perturbing the deterministic ids
 /// and orderings later operations depend on.
@@ -115,8 +115,8 @@ class UndoJournal {
   enum class Kind : uint8_t {
     kNodeAdded,    // Undo: pop the node (it is the allocation tail).
     kNodeKilled,   // Undo: revive the node and its index entries.
-    kEdgeAdded,    // Undo: pop the edge off every list tail.
-    kEdgeRemoved,  // Undo: positional re-insert into every list.
+    kEdgeAdded,    // Undo: pop the edge off both group tails.
+    kEdgeRemoved,  // Undo: positional re-insert into both groups.
   };
 
   struct Entry {
@@ -124,35 +124,32 @@ class UndoJournal {
     NodeId node;    // The node, or the edge source.
     Symbol label;   // Edge label (edge entries only).
     NodeId target;  // Edge target (edge entries only).
-    // kEdgeRemoved: positions the edge occupied at removal time.
-    uint32_t out_pos = 0;
-    uint32_t in_pos = 0;
+    // kEdgeRemoved: positions the edge occupied in the source's
+    // out-group and the target's in-group at removal time.
     uint32_t out_label_pos = 0;
     uint32_t in_label_pos = 0;
-    // kEdgeAdded: whether the add created the per-label index entry.
+    // kEdgeAdded: whether the add created the per-label group.
     bool fresh_out_entry = false;
     bool fresh_in_entry = false;
   };
 
   void RecordNodeAdded(NodeId node) {
     entries_.push_back(Entry{Kind::kNodeAdded, node, Symbol{}, NodeId{},
-                             0, 0, 0, 0, false, false});
+                             0, 0, false, false});
   }
   void RecordNodeKilled(NodeId node) {
     entries_.push_back(Entry{Kind::kNodeKilled, node, Symbol{}, NodeId{},
-                             0, 0, 0, 0, false, false});
+                             0, 0, false, false});
   }
   void RecordEdgeAdded(NodeId source, Symbol label, NodeId target,
                        bool fresh_out_entry, bool fresh_in_entry) {
     entries_.push_back(Entry{Kind::kEdgeAdded, source, label, target,
-                             0, 0, 0, 0, fresh_out_entry, fresh_in_entry});
+                             0, 0, fresh_out_entry, fresh_in_entry});
   }
   void RecordEdgeRemoved(NodeId source, Symbol label, NodeId target,
-                         uint32_t out_pos, uint32_t in_pos,
                          uint32_t out_label_pos, uint32_t in_label_pos) {
     entries_.push_back(Entry{Kind::kEdgeRemoved, source, label, target,
-                             out_pos, in_pos, out_label_pos, in_label_pos,
-                             false, false});
+                             out_label_pos, in_label_pos, false, false});
   }
 
   std::vector<Entry> entries_;

@@ -466,7 +466,7 @@ std::vector<SeedItem> BuildSeedItems(const Pattern& pattern) {
     }
   }
   for (NodeId m : pattern.AllNodes()) {
-    if (pattern.OutEdges(m).empty() && pattern.InEdges(m).empty()) {
+    if (pattern.OutDegree(m) == 0 && pattern.InDegree(m) == 0) {
       items.push_back(SeedItem{/*is_edge=*/false, m, NodeId{}, Symbol{}});
     }
   }

@@ -18,9 +18,9 @@ bool Contains(const std::vector<graph::NodeId>& list, graph::NodeId node) {
 void Scrubber::Reset() {
   report_ = ScrubReport{};
   cursor_ = 0;
-  alive_seen_ = 0;
-  out_edges_seen_ = 0;
-  label_census_.clear();
+  in_edges_seen_ = 0;
+  out_sum_census_.clear();
+  in_sum_census_.clear();
 }
 
 void Scrubber::ScrubNode(graph::NodeId node) {
@@ -32,8 +32,6 @@ void Scrubber::ScrubNode(graph::NodeId node) {
   };
 
   const Symbol label = g.LabelOf(node);
-  ++alive_seen_;
-  ++label_census_[label];
   const size_t problems_before = report_.problems.size();
   const size_t edges_before = report_.edges_scrubbed;
 
@@ -64,76 +62,51 @@ void Scrubber::ScrubNode(graph::NodeId node) {
     problem("is an object node but carries a print value");
   }
 
-  // Outgoing edges: typing, uniqueness, and agreement of all three
-  // redundant indexes (edge set, out index, target's in index).
-  std::unordered_map<Symbol, size_t> out_census, in_census;
-  std::unordered_map<Symbol, Symbol> successor_label;
+  // Outgoing edges: typing, uniqueness, and the mirror entry in the
+  // target's in-group.
   for (const auto& [edge_label, target] : g.OutEdges(node)) {
     ++report_.edges_scrubbed;
-    ++out_edges_seen_;
-    ++out_census[edge_label];
     if (!g.HasNode(target)) {
       problem("has a '" + SymName(edge_label) + "' edge to dead node #" +
               std::to_string(target.id));
       continue;
     }
-    if (!s.HasTriple(label, edge_label, g.LabelOf(target))) {
+    const Symbol target_label = g.LabelOf(target);
+    ++out_sum_census_[{label, edge_label}];
+    ++in_sum_census_[{target_label, edge_label}];
+    if (!s.HasTriple(label, edge_label, target_label)) {
       problem("edge '" + SymName(edge_label) +
               "' is not licensed by any scheme triple");
     }
-    auto [it, inserted] =
-        successor_label.emplace(edge_label, g.LabelOf(target));
-    if (!inserted && it->second != g.LabelOf(target)) {
+    // The label's first target fixes the successor label and, for a
+    // functional label, is the only target allowed.
+    const graph::NodeId first = g.OutTargets(node, edge_label).front();
+    if (target_label != g.LabelOf(first)) {
       problem("has '" + SymName(edge_label) +
               "' successors with unequal labels");
     }
-    if (s.IsFunctionalEdgeLabel(edge_label) &&
-        out_census[edge_label] > 1) {
+    if (s.IsFunctionalEdgeLabel(edge_label) && target != first) {
       problem("has multiple functional '" + SymName(edge_label) + "' edges");
     }
-    if (!g.HasEdge(node, edge_label, target)) {
-      problem("edge '" + SymName(edge_label) + "' missing from the edge set");
-    }
-    if (!Contains(g.OutTargets(node, edge_label), target)) {
-      problem("edge '" + SymName(edge_label) + "' missing from the out index");
-    }
     if (!Contains(g.InSources(target, edge_label), node)) {
-      problem("edge '" + SymName(edge_label) +
-              "' missing from the target's in index");
+      problem("'" + SymName(edge_label) + "' edge to node #" +
+              std::to_string(target.id) +
+              " missing from the target's in index");
     }
   }
   // Incoming edges: every recorded predecessor must know about us.
   for (const auto& [source, edge_label] : g.InEdges(node)) {
-    ++in_census[edge_label];
+    ++in_edges_seen_;
     if (!g.HasNode(source)) {
       problem("has a '" + SymName(edge_label) + "' edge from dead node #" +
               std::to_string(source.id));
       continue;
     }
-    if (!g.HasEdge(source, edge_label, node)) {
-      problem("incoming '" + SymName(edge_label) +
-              "' edge missing from the edge set");
-    }
     if (!Contains(g.OutTargets(source, edge_label), node)) {
-      problem("incoming '" + SymName(edge_label) +
-              "' edge missing from the source's out index");
+      problem("incoming '" + SymName(edge_label) + "' edge from node #" +
+              std::to_string(source.id) +
+              " missing from the source's out index");
     }
-  }
-  // Cardinality agreement catches *stale* index entries — an index can
-  // contain every listed edge and still be too big.
-  for (const auto& [edge_label, count] : out_census) {
-    if (g.OutDegree(node, edge_label) != count) {
-      problem("out index size disagrees for '" + SymName(edge_label) + "'");
-    }
-  }
-  for (const auto& [edge_label, count] : in_census) {
-    if (g.InDegree(node, edge_label) != count) {
-      problem("in index size disagrees for '" + SymName(edge_label) + "'");
-    }
-  }
-  // Label index membership.
-  if (!Contains(g.NodesWithLabel(label), node)) {
-    problem("missing from the label index for '" + SymName(label) + "'");
   }
 
   // Attribute this node's totals to its class — the snapshot-partition
@@ -171,21 +144,53 @@ Status Scrubber::Step(const ScrubOptions& options) {
 
   // Whole-instance totals (exact when the pass ran without concurrent
   // mutation; see file comment).
-  if (alive_seen_ != instance_->num_nodes()) {
-    report_.problems.push_back(
-        "alive-node count disagrees: walked " + std::to_string(alive_seen_) +
-        ", instance reports " + std::to_string(instance_->num_nodes()));
-  }
-  if (out_edges_seen_ != instance_->num_edges()) {
-    report_.problems.push_back(
-        "edge count disagrees: walked " + std::to_string(out_edges_seen_) +
-        ", instance reports " + std::to_string(instance_->num_edges()));
-  }
-  for (const auto& [label, count] : label_census_) {
-    if (instance_->CountNodesWithLabel(label) != count) {
-      report_.problems.push_back(
-          "label index cardinality disagrees for '" + SymName(label) + "'");
+  auto total_problem = [&](const std::string& what, size_t walked,
+                           size_t reported) {
+    if (walked != reported) {
+      report_.problems.push_back(what + " disagrees: walked " +
+                                 std::to_string(walked) +
+                                 ", instance reports " +
+                                 std::to_string(reported));
     }
+  };
+  total_problem("alive-node count", report_.nodes_scrubbed,
+                instance_->num_nodes());
+  total_problem("out-edge count", report_.edges_scrubbed,
+                instance_->num_edges());
+  total_problem("in-edge count", in_edges_seen_, instance_->num_edges());
+  // One pass per label over the label index: every listed id is alive
+  // under that label, and the list is as long as the walked census —
+  // empty for a scheme label no walked node carries.
+  std::map<std::string, size_t> walked;
+  for (Symbol label : scheme_->object_labels()) walked[SymName(label)] = 0;
+  for (Symbol label : scheme_->printable_labels()) walked[SymName(label)] = 0;
+  for (const auto& [cls, outcome] : report_.per_class) {
+    walked[cls] = outcome.nodes_scrubbed;
+  }
+  for (const auto& [cls, count] : walked) {
+    const Symbol label = Sym(cls);
+    const std::vector<graph::NodeId> listed =
+        instance_->NodesWithLabel(label);
+    for (graph::NodeId id : listed) {
+      if (!instance_->HasNode(id) || instance_->LabelOf(id) != label) {
+        report_.problems.push_back("label index for '" + SymName(label) +
+                                   "' lists node #" + std::to_string(id.id) +
+                                   ", which is dead or relabeled");
+      }
+    }
+    total_problem("label index size for '" + cls + "'", count,
+                  listed.size());
+  }
+  // The planner's degree sums against the walked edge census.
+  for (const auto& [key, count] : out_sum_census_) {
+    total_problem("out-degree sum of ('" + SymName(key.first) + "', '" +
+                      SymName(key.second) + "')",
+                  count, instance_->OutDegreeSum(key.first, key.second));
+  }
+  for (const auto& [key, count] : in_sum_census_) {
+    total_problem("in-degree sum of ('" + SymName(key.first) + "', '" +
+                      SymName(key.second) + "')",
+                  count, instance_->InDegreeSum(key.first, key.second));
   }
   report_.complete = true;
   return Status::OK();

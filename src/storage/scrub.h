@@ -5,28 +5,30 @@
 /// in one uninterruptible pass with private-member access. A
 /// production system wants the same audit as a background chore that
 /// (a) runs against the public query surface — so it also catches the
-/// redundant indexes (per-label adjacency, edge hash set, printable
-/// dedup map, label index) drifting out of line with the edge lists
-/// they cache — and (b) can be sliced under a common::Deadline so it
-/// steals bounded time from serving. The Scrubber walks nodes in id
-/// order, cross-checking per node:
+/// redundant structures (the in-group mirror of every out-group entry,
+/// the printable dedup map, the label index, the planner's statistics)
+/// drifting out of line with the out-groups — and (b) can be sliced
+/// under a common::Deadline so it steals bounded time from serving.
+/// The Scrubber walks nodes in id order, cross-checking per node:
 ///
 ///  - scheme conformance: node label in OL ∪ POL, print values only on
 ///    printable labels and inside their domain, every edge licensed by
 ///    a P-triple, functional-edge uniqueness, equal successor labels;
-///  - index agreement: every out-edge present in the edge hash set
-///    (HasEdge), in the source's out index (OutTargets) and the
-///    target's in index (InSources), with index cardinalities matching
-///    the adjacency lists in both directions;
+///  - adjacency mirroring: every out-edge (OutEdges) present in the
+///    target's in index (InSources), every in-edge (InEdges) present in
+///    the source's out index (OutTargets);
 ///  - printable dedup: a valued printable node is exactly the node the
 ///    (label, value) dedup map resolves to.
 ///
-/// Whole-instance totals (alive-node count, edge count, per-label node
-/// census vs. the label index) are checked when a pass completes. A
-/// pass sliced across deadline expiries accumulates totals across its
-/// slices, so those totals are exact only if the instance was not
-/// mutated between slices; the per-node checks are sound regardless
-/// (each slice sees a consistent point-in-time node).
+/// Whole-instance totals are checked when a pass completes: the
+/// alive-node count, the edge count against the out- and the in-edges
+/// walked, one pass per label over the label index (every listed id
+/// alive under that label, as many ids as the walk counted), and the
+/// planner's degree sums against the walked edge census. A pass sliced
+/// across deadline expiries accumulates totals across its slices, so
+/// those totals are exact only if the instance was not mutated between
+/// slices; the per-node checks are sound regardless (each slice sees a
+/// consistent point-in-time node).
 ///
 /// Problems are *reported*, not returned as errors: the scrub status
 /// only says whether the pass ran to completion (OK) or was cut off
@@ -39,7 +41,7 @@
 #include <cstddef>
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -117,9 +119,11 @@ class Scrubber {
   /// Next node id to examine (dense ids make this a resume point).
   uint32_t cursor_ = 0;
   /// Totals accumulated across slices of the current pass.
-  size_t alive_seen_ = 0;
-  size_t out_edges_seen_ = 0;
-  std::unordered_map<Symbol, size_t> label_census_;
+  size_t in_edges_seen_ = 0;
+  /// Edge counts keyed by (source label, edge label) and (target label,
+  /// edge label): what OutDegreeSum / InDegreeSum should report.
+  std::map<std::pair<Symbol, Symbol>, size_t> out_sum_census_;
+  std::map<std::pair<Symbol, Symbol>, size_t> in_sum_census_;
 };
 
 /// \brief One-shot scrub: a full pass (or as much as the deadline

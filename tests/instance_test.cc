@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/instance.h"
 #include "graph/undo_journal.h"
 #include "schema/scheme.h"
@@ -24,6 +27,25 @@ Scheme TestScheme() {
   s.AddTriple(Sym("Doc"), Sym("refs"), Sym("Doc")).OrDie();
   s.AddTriple(Sym("Doc"), Sym("tags"), Sym("Tag")).OrDie();
   return s;
+}
+
+/// HasEdge must agree with AllEdges() membership on every (source,
+/// label, target) combination over `nodes` and `labels`.
+void ExpectHasEdgeMatchesAllEdges(const Instance& g,
+                                  const std::vector<NodeId>& nodes,
+                                  const std::vector<Symbol>& labels) {
+  const std::vector<Edge> all = g.AllEdges();
+  for (NodeId source : nodes) {
+    for (Symbol label : labels) {
+      for (NodeId target : nodes) {
+        const Edge probe{source, label, target};
+        EXPECT_EQ(g.HasEdge(source, label, target),
+                  std::binary_search(all.begin(), all.end(), probe))
+            << "#" << source.id << " -" << SymName(label) << "-> #"
+            << target.id;
+      }
+    }
+  }
 }
 
 TEST(InstanceTest, AddObjectNodeChecksLabel) {
@@ -114,6 +136,31 @@ TEST(InstanceTest, MultivaluedEdgesAllowManyTargets) {
   EXPECT_TRUE(g.AddEdge(s, a, Sym("refs"), c).ok());
   EXPECT_EQ(g.OutTargets(a, Sym("refs")).size(), 2u);
   EXPECT_EQ(g.InSources(b, Sym("refs")).size(), 1u);
+
+  // HasEdge scans the shorter of the source's out-list and the target's
+  // in-list. `in_hub` has a long in-list and a one-entry out-list,
+  // `out_hub` the mirror; `c` carries a self-loop; out_hub -> in_hub is
+  // absent although both of its lists are long.
+  NodeId in_hub = *g.AddObjectNode(s, Sym("Doc"));
+  NodeId out_hub = *g.AddObjectNode(s, Sym("Doc"));
+  std::vector<NodeId> nodes = {a, b, c, in_hub, out_hub};
+  for (int i = 0; i < 8; ++i) {
+    NodeId spoke = *g.AddObjectNode(s, Sym("Doc"));
+    g.AddEdge(s, spoke, Sym("refs"), in_hub).OrDie();
+    g.AddEdge(s, out_hub, Sym("refs"), spoke).OrDie();
+    nodes.push_back(spoke);
+  }
+  g.AddEdge(s, in_hub, Sym("refs"), a).OrDie();
+  g.AddEdge(s, b, Sym("refs"), out_hub).OrDie();
+  g.AddEdge(s, c, Sym("refs"), c).OrDie();
+  EXPECT_TRUE(g.HasEdge(c, Sym("refs"), c));
+  EXPECT_TRUE(g.HasEdge(in_hub, Sym("refs"), a));
+  EXPECT_TRUE(g.HasEdge(nodes.back(), Sym("refs"), in_hub));
+  EXPECT_TRUE(g.HasEdge(out_hub, Sym("refs"), nodes.back()));
+  EXPECT_TRUE(g.HasEdge(b, Sym("refs"), out_hub));
+  EXPECT_FALSE(g.HasEdge(out_hub, Sym("refs"), in_hub));
+  EXPECT_FALSE(g.HasEdge(in_hub, Sym("refs"), out_hub));
+  ExpectHasEdgeMatchesAllEdges(g, nodes, {Sym("refs"), Sym("tags")});
 }
 
 TEST(InstanceTest, RemoveNodeDetachesEdges) {
@@ -156,6 +203,25 @@ TEST(InstanceTest, RemoveEdgeIsIdempotent) {
   EXPECT_TRUE(g.RemoveEdge(a, Sym("refs"), b).ok());
   EXPECT_TRUE(g.RemoveEdge(a, Sym("refs"), b).ok());  // No-op.
   EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_FALSE(g.HasEdge(a, Sym("refs"), b));
+  ExpectHasEdgeMatchesAllEdges(g, {a, b}, {Sym("refs")});
+
+  // Membership follows a journaled removal and its rollback.
+  g.AddEdge(s, a, Sym("refs"), b).OrDie();
+  g.AddEdge(s, b, Sym("refs"), b).OrDie();
+  UndoJournal journal;
+  g.AttachJournal(&journal);
+  g.RemoveEdge(a, Sym("refs"), b).OrDie();
+  g.RemoveEdge(b, Sym("refs"), b).OrDie();
+  EXPECT_FALSE(g.HasEdge(a, Sym("refs"), b));
+  EXPECT_FALSE(g.HasEdge(b, Sym("refs"), b));
+  ExpectHasEdgeMatchesAllEdges(g, {a, b}, {Sym("refs")});
+  journal.Rollback(&g);
+  g.DetachJournal();
+  EXPECT_TRUE(g.HasEdge(a, Sym("refs"), b));
+  EXPECT_TRUE(g.HasEdge(b, Sym("refs"), b));
+  ExpectHasEdgeMatchesAllEdges(g, {a, b}, {Sym("refs")});
+  EXPECT_TRUE(g.Validate(s).ok());
 }
 
 TEST(InstanceTest, LabelIndexTracksMutations) {
