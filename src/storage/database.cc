@@ -86,7 +86,6 @@ std::string RecoveryReport::ToString() const {
     out += ", truncated " + std::to_string(bytes_truncated) + " B";
   }
   if (used_previous_snapshot) out += ", from previous snapshot";
-  if (migrated_legacy_snapshot) out += ", migrated legacy snapshot";
   if (partitions_quarantined > 0) {
     out += ", " + std::to_string(partitions_quarantined) +
            " partition(s) quarantined";
@@ -107,14 +106,6 @@ std::string Database::ManifestPath(const std::string& dir) {
 
 std::string Database::PreviousManifestPath(const std::string& dir) {
   return dir + "/manifest.prev";
-}
-
-std::string Database::SnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.good";
-}
-
-std::string Database::PreviousSnapshotPath(const std::string& dir) {
-  return dir + "/snapshot.prev";
 }
 
 std::string Database::WalPath(const std::string& dir) {
@@ -154,9 +145,7 @@ Result<Database> Database::Open(const std::string& dir,
   }
   const bool has_manifest = env->FileExists(ManifestPath(dir)) ||
                             env->FileExists(PreviousManifestPath(dir));
-  const bool has_legacy = env->FileExists(SnapshotPath(dir)) ||
-                          env->FileExists(PreviousSnapshotPath(dir));
-  if (has_manifest || has_legacy) {
+  if (has_manifest) {
     db.recovery_.degraded = degraded;
     GOOD_RETURN_NOT_OK(db.LoadSnapshot());
     uint64_t valid_bytes = 0;
@@ -164,18 +153,17 @@ Result<Database> Database::Open(const std::string& dir,
     if (!degraded) {
       GOOD_RETURN_NOT_OK(db.SyncPartitionQuarantineSidecar());
       GOOD_RETURN_NOT_OK(db.OpenWalForAppend(valid_bytes));
-      if (!db.have_manifest_) {
-        // Legacy monolithic layout: the recovered state is checkpointed
-        // into the partitioned layout right away; the now-stale legacy
-        // snapshot files are swept by the checkpoint's GC. A crash
-        // anywhere in between re-runs the migration on the next open
-        // (before the manifest commits) or is covered by the ordinary
-        // sequence-number skip (after it).
-        GOOD_RETURN_NOT_OK(db.Checkpoint());
-        db.recovery_.migrated_legacy_snapshot = true;
-      }
     }
   } else {
+    // The pre-partitioning monolithic snapshot is no longer read. Refuse
+    // it by name instead of bootstrapping an empty database over it.
+    for (const char* name : {"/snapshot.good", "/snapshot.prev"}) {
+      if (env->FileExists(dir + name)) {
+        return Status::FailedPrecondition(
+            dir + name + " is a monolithic snapshot, a layout this " +
+            "version no longer reads");
+      }
+    }
     if (degraded) {
       return Status::FailedPrecondition(
           "no database in " + dir + " to serve in read-only degraded mode");
@@ -226,36 +214,6 @@ Status Database::LoadManifestFile(const std::string& path) {
   quarantined_.insert(loaded->quarantined.begin(), loaded->quarantined.end());
   recovery_.partial_degraded = !quarantined_.empty();
   manifest_ = std::move(*decoded);
-  have_manifest_ = true;
-  return Status::OK();
-}
-
-Status Database::LoadSnapshotFile(const std::string& path) {
-  GOOD_ASSIGN_OR_RETURN(std::string bytes,
-                        options_.env->ReadFileToString(path));
-  auto contents = ReadLogRecords(bytes);
-  if (!contents.ok()) {
-    return Status::DataLoss("snapshot " + path +
-                            " is corrupt: " + contents.status().message());
-  }
-  if (contents->records.size() != 1 || contents->dropped_torn_tail ||
-      contents->valid_bytes != bytes.size()) {
-    return Status::DataLoss("snapshot " + path +
-                            " is damaged (expected exactly one intact "
-                            "record)");
-  }
-  std::string_view payload = contents->records[0];
-  auto seq = ConsumeFixed64(&payload);
-  if (!seq.ok()) {
-    return Status::DataLoss("snapshot " + path + " has no sequence number");
-  }
-  auto parsed = program::ParseDatabase(std::string(payload));
-  if (!parsed.ok()) {
-    return Status::DataLoss("snapshot " + path + " does not parse: " +
-                            parsed.status().ToString());
-  }
-  db_ = std::move(*parsed);
-  next_seq_ = *seq;
   return Status::OK();
 }
 
@@ -292,42 +250,11 @@ Status Database::LoadSnapshot() {
     }
     return loaded;  // both damaged: surface the primary failure
   }
-  if (env->FileExists(man_prev)) {
-    // No current manifest but a previous one: our own checkpoint crash
-    // window (between the two manifest renames). The untruncated log
-    // still holds everything since the previous checkpoint, so this
-    // recovers fully — in every mode, strict included.
-    GOOD_RETURN_NOT_OK(LoadManifestFile(man_prev));
-    recovery_.used_previous_snapshot = true;
-    return Status::OK();
-  }
-
-  // No manifest at all: the legacy monolithic layout. Loaded once here;
-  // Open's first checkpoint migrates it to the partitioned layout.
-  const std::string snap = SnapshotPath(dir_);
-  const std::string prev = PreviousSnapshotPath(dir_);
-  if (env->FileExists(snap)) {
-    Status loaded = LoadSnapshotFile(snap);
-    if (loaded.ok()) return loaded;
-    if (options_.salvage_mode == SalvageMode::kStrict) return loaded;
-    // Salvage modes: the current snapshot is damaged — fall back to the
-    // one the last checkpoint displaced. Operations checkpointed into
-    // the damaged snapshot and truncated out of the log are gone; the
-    // sequence-number check in replay keeps us from papering over that
-    // hole with misordered operations.
-    if (env->FileExists(prev)) {
-      Status fallback = LoadSnapshotFile(prev);
-      if (fallback.ok()) {
-        recovery_.used_previous_snapshot = true;
-        recovery_.salvaged = true;
-        return fallback;
-      }
-    }
-    return loaded;  // both damaged: surface the primary failure
-  }
-  // No current snapshot but a previous one: the legacy layout's own
-  // checkpoint crash window; recovers fully in every mode.
-  GOOD_RETURN_NOT_OK(LoadSnapshotFile(prev));
+  // No current manifest but a previous one: our own checkpoint crash
+  // window (between the two manifest renames). The untruncated log
+  // still holds everything since the previous checkpoint, so this
+  // recovers fully — in every mode, strict included.
+  GOOD_RETURN_NOT_OK(LoadManifestFile(man_prev));
   recovery_.used_previous_snapshot = true;
   return Status::OK();
 }
@@ -393,41 +320,57 @@ Status Database::ReplayWal(uint64_t* valid_bytes) {
   return ReplayWalSalvage(wal, bytes, valid_bytes);
 }
 
+Result<Database::ReplayStop> Database::ReplayRecords(
+    const std::vector<std::string_view>& payloads) {
+  const uint64_t snapshot_seq = next_seq_;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    // Replay executes real operations — a huge log tail can take a
+    // while, so recovery is cancellable like any other long engine run.
+    GOOD_RETURN_NOT_OK(options_.recovery_deadline.Check());
+    std::string_view payload = payloads[i];
+    auto seq = ConsumeFixed64(&payload);
+    if (!seq.ok()) {
+      return ReplayStop{i, Status::DataLoss("log record " + std::to_string(i) +
+                                            " has no sequence number")};
+    }
+    if (*seq < snapshot_seq) {
+      // Residue from a checkpoint that committed its manifest but
+      // crashed before truncating the log; the snapshot already holds
+      // it. Residue after replay began is misordered: nothing after it
+      // can be trusted.
+      if (recovery_.ops_replayed > 0) {
+        return ReplayStop{i, Status::DataLoss("log record " +
+                                              std::to_string(i) +
+                                              " is out of sequence order")};
+      }
+      ++recovery_.ops_skipped;
+      continue;
+    }
+    if (*seq != next_seq_) {
+      // A hole in the history: later records may depend on lost ones.
+      return ReplayStop{
+          i, Status::DataLoss("log sequence gap at record " +
+                              std::to_string(i) + ": expected " +
+                              std::to_string(next_seq_) + ", found " +
+                              std::to_string(*seq))};
+    }
+    Status replayed = ReplayRecord(payload, i);
+    if (!replayed.ok()) return ReplayStop{i, std::move(replayed)};
+  }
+  return ReplayStop{payloads.size(), Status::OK()};
+}
+
 Status Database::ReplayWalStrict(std::string_view bytes,
                                  uint64_t* valid_bytes) {
   GOOD_ASSIGN_OR_RETURN(LogContents contents, ReadLogRecords(bytes));
   *valid_bytes = contents.valid_bytes;
   recovery_.dropped_torn_tail = contents.dropped_torn_tail;
   recovery_.bytes_truncated = bytes.size() - contents.valid_bytes;
-  const uint64_t snapshot_seq = next_seq_;
-  for (size_t i = 0; i < contents.records.size(); ++i) {
-    // Replay executes real operations — a huge log tail can take a
-    // while, so recovery is cancellable like any other long engine run.
-    GOOD_RETURN_NOT_OK(options_.recovery_deadline.Check());
-    std::string_view payload = contents.records[i];
-    auto seq = ConsumeFixed64(&payload);
-    if (!seq.ok()) {
-      return Status::DataLoss("log record " + std::to_string(i) +
-                              " has no sequence number");
-    }
-    if (*seq < snapshot_seq) {
-      // Residue from a checkpoint that renamed its snapshot but crashed
-      // before truncating the log; the snapshot already contains it.
-      if (recovery_.ops_replayed > 0) {
-        return Status::DataLoss("log record " + std::to_string(i) +
-                                " is out of sequence order");
-      }
-      ++recovery_.ops_skipped;
-      continue;
-    }
-    if (*seq != next_seq_) {
-      return Status::DataLoss(
-          "log sequence gap at record " + std::to_string(i) + ": expected " +
-          std::to_string(next_seq_) + ", found " + std::to_string(*seq));
-    }
-    GOOD_RETURN_NOT_OK(ReplayRecord(payload, i));
-  }
-  log_ops_ = contents.records.size();
+  const std::vector<std::string_view> payloads(contents.records.begin(),
+                                               contents.records.end());
+  GOOD_ASSIGN_OR_RETURN(ReplayStop stop, ReplayRecords(payloads));
+  GOOD_RETURN_NOT_OK(stop.status);
+  log_ops_ = stop.index;
   ops_since_checkpoint_ = recovery_.ops_replayed;
   return Status::OK();
 }
@@ -436,7 +379,6 @@ Status Database::ReplayWalSalvage(const std::string& wal,
                                   std::string_view bytes,
                                   uint64_t* valid_bytes) {
   SalvageResult scan = WalSalvager::Scan(bytes);
-  const uint64_t snapshot_seq = next_seq_;
   recovery_.dropped_torn_tail =
       !scan.report.dropped.empty() &&
       scan.report.dropped.back().offset + scan.report.dropped.back().length ==
@@ -450,44 +392,19 @@ Status Database::ReplayWalSalvage(const std::string& wal,
        scan.report.dropped[0].offset == scan.report.clean_prefix_bytes &&
        recovery_.dropped_torn_tail);
 
-  // Replay the longest prefix of frames that is sound to execute:
-  // contiguous sequence numbers, parseable, and executable. The first
-  // frame that is none of these ends the prefix — an intact frame past
-  // a hole may depend on lost operations, so executing it would
+  // Replay the longest prefix of frames that is sound to execute. The
+  // frame replay stopped at ends the prefix — an intact frame past a
+  // hole may depend on lost operations, so executing it would
   // fabricate state.
-  std::vector<SalvagedFrame> kept;
-  size_t stop_index = scan.frames.size();
-  for (size_t i = 0; i < scan.frames.size(); ++i) {
-    GOOD_RETURN_NOT_OK(options_.recovery_deadline.Check());
-    std::string_view payload = scan.frames[i].payload;
-    auto seq = ConsumeFixed64(&payload);
-    if (!seq.ok()) {
-      stop_index = i;
-      break;
-    }
-    if (*seq < snapshot_seq) {
-      if (recovery_.ops_replayed > 0) {
-        stop_index = i;  // misordered — do not trust anything after
-        break;
-      }
-      // Checkpoint residue; the snapshot already contains it. Dropped
-      // from the rewritten log (it is durable in the snapshot).
-      ++recovery_.ops_skipped;
-      continue;
-    }
-    if (*seq != next_seq_) {
-      stop_index = i;  // a hole in the history
-      break;
-    }
-    if (!ReplayRecord(payload, i).ok()) {
-      stop_index = i;
-      break;
-    }
-    kept.push_back(scan.frames[i]);
+  std::vector<std::string_view> payloads;
+  payloads.reserve(scan.frames.size());
+  for (const SalvagedFrame& frame : scan.frames) {
+    payloads.push_back(frame.payload);
   }
+  GOOD_ASSIGN_OR_RETURN(ReplayStop stop, ReplayRecords(payloads));
   // Frames past the stop point are salvageable but not replayable:
   // quarantine them alongside the corrupt byte ranges.
-  for (size_t i = stop_index; i < scan.frames.size(); ++i) {
+  for (size_t i = stop.index; i < scan.frames.size(); ++i) {
     const uint64_t extent = kRecordHeaderSize + scan.frames[i].payload.size();
     scan.report.dropped.push_back(DroppedRange{
         scan.frames[i].offset, extent, SalvageDropReason::kUnreplayable});
@@ -499,13 +416,18 @@ Status Database::ReplayWalSalvage(const std::string& wal,
             [](const DroppedRange& a, const DroppedRange& b) {
               return a.offset < b.offset;
             });
+  // The frames to keep are the replayed ones: skipped residue is a
+  // prefix (it is durable in the snapshot), quarantined frames the rest.
+  std::vector<SalvagedFrame>& kept = scan.frames;
+  kept.resize(stop.index);
+  kept.erase(kept.begin(), kept.begin() + recovery_.ops_skipped);
   scan.report.frames_kept = kept.size();
   scan.report.clean = scan.report.dropped.empty();
 
-  const bool stopped = stop_index < scan.frames.size();
+  const bool stopped = !stop.status.ok();
   recovery_.salvaged |= stopped || !torn_tail_only;
   recovery_.salvage = scan.report;
-  log_ops_ = recovery_.ops_skipped + recovery_.ops_replayed;
+  log_ops_ = stop.index;
   ops_since_checkpoint_ = recovery_.ops_replayed;
 
   if (options_.salvage_mode == SalvageMode::kReadOnlyDegraded) {
@@ -788,14 +710,16 @@ Status Database::Checkpoint(CheckpointStats* stats) {
   FileEnv* env = options_.env;
   CheckpointStats local;
 
+  // A fresh database's bootstrap checkpoint builds on an empty
+  // manifest_ and an empty last_scheme_text_, so it writes everything.
   Manifest next;
   next.next_seq = next_seq_;
-  next.file_number = have_manifest_ ? manifest_.file_number : 1;
+  next.file_number = manifest_.file_number;
   next.node_frontier = db_.instance.NodeFrontier();
 
   // Scheme file: rewritten only when its serialized text changed.
   std::string scheme_text = program::WriteScheme(db_.scheme);
-  if (have_manifest_ && scheme_text == last_scheme_text_) {
+  if (scheme_text == last_scheme_text_) {
     next.scheme = manifest_.scheme;
   } else {
     std::string framed;
@@ -834,8 +758,7 @@ Status Database::Checkpoint(CheckpointStats* stats) {
     if (quarantined_.count(cls) > 0) continue;
     const std::string name = SymName(cls);
     auto it = manifest_.partitions.find(name);
-    if (have_manifest_ && it != manifest_.partitions.end() &&
-        dirty.count(cls) == 0) {
+    if (it != manifest_.partitions.end() && dirty.count(cls) == 0) {
       next.partitions.emplace(name, it->second);
       ++local.partitions_carried;
       continue;
@@ -876,7 +799,6 @@ Status Database::Checkpoint(CheckpointStats* stats) {
   GOOD_RETURN_NOT_OK(env->SyncDir(dir_));
 
   manifest_ = std::move(next);
-  have_manifest_ = true;
   last_scheme_text_ = std::move(scheme_text);
   db_.instance.ClearDirtyClasses();
 
@@ -894,9 +816,9 @@ Status Database::Checkpoint(CheckpointStats* stats) {
   log_ops_ = 0;
   ops_since_checkpoint_ = 0;
 
-  // Best-effort sweep of files neither manifest references (including
-  // a migrated legacy snapshot). Failures are ignored: the sweep is
-  // idempotent and the next checkpoint retries it.
+  // Best-effort sweep of files neither manifest references. Failures
+  // are ignored: the sweep is idempotent and the next checkpoint
+  // retries it.
   RemoveUnreferencedFiles();
   if (stats != nullptr) *stats = local;
   return Status::OK();
@@ -931,12 +853,6 @@ void Database::RemoveUnreferencedFiles() {
         name.ends_with(".good");
     if (!checkpoint_file || referenced.count(name) > 0) continue;
     (void)env->RemoveFile(dir_ + "/" + name);
-  }
-  // A committed manifest supersedes the legacy monolithic snapshot.
-  for (const std::string& legacy :
-       {SnapshotPath(dir_), PreviousSnapshotPath(dir_),
-        dir_ + "/snapshot.tmp"}) {
-    if (env->FileExists(legacy)) (void)env->RemoveFile(legacy);
   }
 }
 

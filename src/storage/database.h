@@ -136,8 +136,8 @@ struct RecoveryReport {
   /// Bytes of log tail cut off (torn tail, or everything past the
   /// salvageable prefix in kSalvage mode).
   uint64_t bytes_truncated = 0;
-  /// True iff recovery based itself on snapshot.prev because the
-  /// current snapshot was missing or (salvage modes) damaged.
+  /// True iff recovery based itself on manifest.prev because the
+  /// current manifest was missing or (salvage modes) damaged.
   bool used_previous_snapshot = false;
   /// True iff the salvage scanner had to engage (non-strict mode and
   /// real damage found).
@@ -146,7 +146,7 @@ struct RecoveryReport {
   bool degraded = false;
   /// Details of the salvage scan when `salvaged` is true.
   SalvageReport salvage;
-  /// Per-partition load outcomes (empty for fresh/legacy databases).
+  /// Per-partition load outcomes (empty for fresh databases).
   std::vector<PartitionLoadResult> partitions;
   /// Partitions quarantined by this open.
   size_t partitions_quarantined = 0;
@@ -158,9 +158,6 @@ struct RecoveryReport {
   /// writable for healthy classes; reads/writes touching a quarantined
   /// class draw typed kUnavailable (see Database::CheckClassAvailable).
   bool partial_degraded = false;
-  /// True iff this open found a legacy monolithic snapshot and
-  /// migrated it to the partitioned layout.
-  bool migrated_legacy_snapshot = false;
 
   /// One-line human summary for logs.
   std::string ToString() const;
@@ -299,11 +296,6 @@ class Database {
   static std::string ManifestPath(const std::string& dir);
   /// The displaced previous manifest, kept as the salvage fallback.
   static std::string PreviousManifestPath(const std::string& dir);
-  /// Legacy monolithic snapshot (pre-partitioning layout); read once
-  /// for transparent migration, never written again.
-  static std::string SnapshotPath(const std::string& dir);
-  /// The legacy pre-checkpoint snapshot fallback.
-  static std::string PreviousSnapshotPath(const std::string& dir);
   static std::string WalPath(const std::string& dir);
   /// Sidecar holding the byte ranges a salvaging Open dropped.
   static std::string QuarantinePath(const std::string& dir);
@@ -316,23 +308,35 @@ class Database {
   /// Loads the committed checkpoint: manifest.good, falling back to
   /// manifest.prev when the current one is missing (all modes — that
   /// is our own checkpoint crash window) or damaged (salvage modes
-  /// only). Directories without a manifest fall back to the legacy
-  /// monolithic snapshot chain and are flagged for migration.
+  /// only). Open calls it only when one of the two exists.
   Status LoadSnapshot();
   /// Decodes and loads one manifest file into db_/next_seq_/manifest_.
   /// Partition damage quarantines (salvage modes) or fails (strict).
   Status LoadManifestFile(const std::string& path);
-  /// Parses one legacy monolithic snapshot file into db_/next_seq_.
-  Status LoadSnapshotFile(const std::string& path);
   /// Replays the log tail over the snapshot state; reports the byte
   /// offset appends must resume from (torn tails are cut off there).
-  /// Dispatches to the strict or salvaging variant per salvage_mode.
+  /// Dispatches to the strict or salvaging variant per salvage_mode;
+  /// both read the file their own way and share ReplayRecords.
   Status ReplayWal(uint64_t* valid_bytes);
   Status ReplayWalStrict(std::string_view bytes, uint64_t* valid_bytes);
   Status ReplayWalSalvage(const std::string& wal, std::string_view bytes,
                           uint64_t* valid_bytes);
+  /// Where ReplayRecords stopped: the first record it did not replay
+  /// (the record count when it replayed them all), and the kDataLoss
+  /// naming why (OK when it replayed them all).
+  struct ReplayStop {
+    size_t index = 0;
+    Status status;
+  };
+  /// The one replay loop: walks the log payloads in order, skipping
+  /// checkpoint residue and replaying the rest, and stops at the first
+  /// record without a sequence number, residue after replay began, a
+  /// sequence gap, or a record ReplayRecord fails. Only an expired
+  /// recovery_deadline fails the call itself.
+  Result<ReplayStop> ReplayRecords(
+      const std::vector<std::string_view>& payloads);
   /// Parses and executes one logged operation (the payload with its
-  /// sequence number already consumed). Shared by both replay variants.
+  /// sequence number already consumed).
   Status ReplayRecord(std::string_view op_text, size_t index);
   Status OpenWalForAppend(uint64_t valid_bytes);
   /// Rolls back the last log record; poisons the handle if the
@@ -356,7 +360,7 @@ class Database {
   Status WriteFileWithRetry(const std::string& name, std::string_view bytes,
                             size_t* retries);
   /// Deletes part-*/scheme-* files referenced by neither manifest.good
-  /// nor manifest.prev, plus stale legacy snapshots. Best-effort.
+  /// nor manifest.prev. Best-effort.
   void RemoveUnreferencedFiles();
   /// Writes or clears the partition-quarantine sidecar to match the
   /// current quarantine set.
@@ -379,9 +383,6 @@ class Database {
   /// Serialized scheme as last persisted, to skip rewriting the scheme
   /// file when it has not changed.
   std::string last_scheme_text_;
-  /// True until the first partitioned checkpoint commits (fresh
-  /// databases and legacy-migration opens).
-  bool have_manifest_ = false;
   bool poisoned_ = false;
   bool closed_ = false;
 };

@@ -8,8 +8,9 @@
 ///   [payload bytes]
 ///
 /// The same framing serves both the write-ahead log (one record per
-/// applied operation) and snapshots (a single record holding the
-/// serialized database). Reading distinguishes two damage classes:
+/// applied operation or transaction) and the checkpoint files (one
+/// record per manifest, scheme or partition file; storage/partition.h).
+/// Reading distinguishes two damage classes:
 ///
 ///  - **Torn tail**: the *final* record is incomplete (partial header,
 ///    payload shorter than its declared length) or fails its checksum.

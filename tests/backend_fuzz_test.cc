@@ -569,6 +569,52 @@ TEST_P(SalvageFuzzTest, RandomCorruptionNeverBreaksScanInvariants) {
     EXPECT_EQ(clean.report.clean_prefix_bytes, log.size());
   }
 
+  // One hand-built log per scanner drop reason, cut from this seed's
+  // frames: each must report exactly its range. (kUnreplayable is
+  // decided by replay, not by the scanner; SalvageOpenTest covers it.)
+  {
+    using storage::DroppedRange;
+    using storage::SalvageDropReason;
+    const std::vector<storage::SalvagedFrame> intact =
+        storage::WalSalvager::Scan(log).frames;
+    const auto extent = [&](size_t i) {
+      return storage::kRecordHeaderSize + intact[i].payload.size();
+    };
+    const auto expect_drops = [](const std::string& bytes,
+                                 const std::vector<DroppedRange>& want) {
+      storage::SalvageResult got = storage::WalSalvager::Scan(bytes);
+      ASSERT_EQ(got.report.dropped.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.report.dropped[i].offset, want[i].offset);
+        EXPECT_EQ(got.report.dropped[i].length, want[i].length);
+        EXPECT_EQ(got.report.dropped[i].reason, want[i].reason);
+      }
+    };
+    const size_t k = frames / 2;  // an interior frame
+    const uint64_t at = intact[k].offset;
+    // kBadChecksum: one payload byte of frame k flipped.
+    std::string flipped = log;
+    flipped[at + storage::kRecordHeaderSize] ^= 0x01;
+    expect_drops(flipped,
+                 {{at, extent(k), SalvageDropReason::kBadChecksum}});
+    // kResyncSkip: the same damage, then junk the scanner slides over
+    // before frame k+1 verifies again.
+    std::string skipped = flipped;
+    skipped.insert(intact[k + 1].offset, 5, '\xff');
+    expect_drops(skipped,
+                 {{at, extent(k), SalvageDropReason::kBadChecksum},
+                  {intact[k + 1].offset, 5, SalvageDropReason::kResyncSkip}});
+    // kTruncatedPayload: the last frame cut inside its payload.
+    const storage::SalvagedFrame& last = intact.back();
+    const std::string cut = log.substr(
+        0, last.offset + storage::kRecordHeaderSize + last.payload.size() / 2);
+    expect_drops(cut, {{last.offset, cut.size() - last.offset,
+                        SalvageDropReason::kTruncatedPayload}});
+    // kPartialHeader: fewer bytes than a header after the last frame.
+    expect_drops(log + log.substr(0, 5),
+                 {{log.size(), 5, SalvageDropReason::kPartialHeader}});
+  }
+
   // Inflict 1-4 random mutilations: byte flips, range erasures, and
   // garbage insertions, anywhere in the file.
   std::string hurt = log;

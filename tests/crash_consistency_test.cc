@@ -17,11 +17,13 @@
 #include <iostream>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/isomorphism.h"
 #include "hypermedia/hypermedia.h"
-#include "program/serialize.h"
+#include "program/op_serialize.h"
 #include "storage/crash_point_env.h"
 #include "storage/crashsim.h"
 #include "storage/database.h"
@@ -165,7 +167,9 @@ TEST(CrashSimTest, FigureWorkloadSurvivesEveryCrashPoint) {
   options.checkpoint_every = 2;  // crash inside checkpoints too
   CrashSimReport report = ExploreCrashPoints(options).ValueOrDie();
   std::cout << "[crash-matrix] checkpointed: " << report.ToString() << "\n";
-  EXPECT_GT(report.boundaries, 10u);
+  // Exact, so a change to Open/Checkpoint I/O that loses mutating
+  // boundaries (and with them crash schedules) turns this red.
+  EXPECT_EQ(report.boundaries, 116u);
   EXPECT_EQ(report.schedules_explored, 3 * report.boundaries);
   EXPECT_EQ(report.crashes_simulated, report.schedules_explored);
   EXPECT_EQ(report.recovered_ok, report.schedules_explored);
@@ -181,6 +185,8 @@ TEST(CrashSimTest, FigureWorkloadWithoutCheckpoints) {
   options.checkpoint_every = 0;
   CrashSimReport report = ExploreCrashPoints(options).ValueOrDie();
   std::cout << "[crash-matrix] log-only: " << report.ToString() << "\n";
+  EXPECT_EQ(report.boundaries, 64u);
+  EXPECT_EQ(report.schedules_explored, 3 * report.boundaries);
   EXPECT_TRUE(report.ok()) << report.ToString()
                            << (report.divergences.empty()
                                    ? ""
@@ -194,6 +200,8 @@ TEST(CrashSimTest, UnsyncedAppendsStillRecoverAPrefix) {
   options.checkpoint_every = 3;
   CrashSimReport report = ExploreCrashPoints(options).ValueOrDie();
   std::cout << "[crash-matrix] unsynced: " << report.ToString() << "\n";
+  EXPECT_EQ(report.boundaries, 96u);
+  EXPECT_EQ(report.schedules_explored, 3 * report.boundaries);
   EXPECT_TRUE(report.ok()) << report.ToString()
                            << (report.divergences.empty()
                                    ? ""
@@ -327,17 +335,180 @@ TEST(SalvageOpenTest, SalvageRepairsLogAndQuarantinesDamage) {
   EXPECT_FALSE(strict->recovery().salvaged);
 }
 
+/// The figure workload's log payloads, for framing logs by hand. The
+/// base directory checkpoints after the first two operations (so the
+/// manifest expects sequence 2); `residue` holds their records
+/// (sequences 0 and 1, as a checkpoint that crashed before truncating
+/// the log leaves them) and `tail` the four after them (2 to 5).
+/// `states[p]` is the base state plus the first p tail records.
+struct HandLog {
+  std::vector<std::string> residue;
+  std::vector<std::string> tail;
+  std::vector<program::Database> states;
+};
+
+/// Builds the base directory in `dir`, leaving an empty log behind.
+HandLog BuildHandLogBase(const std::string& dir) {
+  HandLog log;
+  const std::string wal = Database::WalPath(dir);
+  const auto read_payloads = [&wal] {
+    return ReadLogRecords(
+               FileEnv::Default()->ReadFileToString(wal).ValueOrDie())
+        .ValueOrDie()
+        .records;
+  };
+  Database db = Database::Open(dir, PaperDatabase()).ValueOrDie();
+  std::vector<Operation> ops = FigureWorkload(db.scheme());
+  db.Apply(ops[0]).OrDie();
+  db.Apply(ops[1]).OrDie();
+  log.residue = read_payloads();
+  db.Checkpoint().OrDie();
+  log.states.push_back(program::Database{db.scheme(), db.instance()});
+  for (size_t i = 2; i < ops.size(); ++i) {
+    db.Apply(ops[i]).OrDie();
+    log.states.push_back(program::Database{db.scheme(), db.instance()});
+  }
+  log.tail = read_payloads();
+  db.Close().OrDie();
+  OverwriteFile(wal, "");
+  return log;
+}
+
+std::string SeqPayload(uint64_t seq, std::string_view text) {
+  std::string payload;
+  AppendFixed64(&payload, seq);
+  payload += text;
+  return payload;
+}
+
 TEST(SalvageOpenTest, SalvageOfCleanDatabaseMatchesStrict) {
-  const std::string dir = MakeTempDir();
-  program::Database expected = BuildLoggedDatabase(dir);
-  Options options;
-  options.salvage_mode = SalvageMode::kSalvage;
-  Database db = Database::Open(dir, PaperDatabase(), options).ValueOrDie();
-  EXPECT_FALSE(db.recovery().salvaged);
-  EXPECT_EQ(db.recovery().ops_replayed, 6u);
-  EXPECT_EQ(db.recovery().ops_quarantined, 0u);
-  EXPECT_TRUE(graph::IsIsomorphic(db.instance(), expected.instance));
-  EXPECT_FALSE(FileEnv::Default()->FileExists(Database::QuarantinePath(dir)));
+  // One hand-framed log per replay outcome. Rows without `stop_reason`
+  // replay every tail record, and strict and salvage must agree on
+  // them. The others put a bad record at index 2: strict must refuse
+  // with kDataLoss naming it, salvage must replay exactly records 0-1
+  // and quarantine the rest as unreplayable.
+  const HandLog hand = BuildHandLogBase(MakeTempDir());
+  ASSERT_EQ(hand.residue.size(), 2u);
+  ASSERT_EQ(hand.tail.size(), 4u);
+  const auto text = [](const std::string& payload) {
+    return std::string_view(payload).substr(sizeof(uint64_t));
+  };
+  const Scheme& scheme = hand.states[0].scheme;
+  method::MethodCallOp unknown_method;
+  unknown_method.pattern =
+      hypermedia::Fig6NodeAddition(scheme).ValueOrDie().source_pattern();
+  unknown_method.method_name = "no-such-method";
+  unknown_method.receiver = unknown_method.pattern.AllNodes().front();
+  const std::string call_text =
+      program::WriteOperation(scheme, Operation(unknown_method)).ValueOrDie();
+  std::string torn;
+  AppendRecordTo(&torn, SeqPayload(6, text(hand.tail[0])));
+  torn.resize(torn.size() / 2);
+
+  struct Row {
+    const char* name;
+    std::vector<std::string> records;
+    std::string torn_tail;
+    const char* stop_reason;  // nullptr: the whole log replays
+  };
+  const auto stopped_at_2 = [&](const char* name, std::string bad,
+                                const char* reason) {
+    return Row{name,
+               {hand.tail[0], hand.tail[1], std::move(bad), hand.tail[2],
+                hand.tail[3]},
+               "",
+               reason};
+  };
+  const std::vector<Row> rows = {
+      {"clean", hand.tail, "", nullptr},
+      {"torn tail", hand.tail, torn, nullptr},
+      {"checkpoint residue",
+       {hand.residue[0], hand.residue[1], hand.tail[0], hand.tail[1],
+        hand.tail[2], hand.tail[3]},
+       "",
+       nullptr},
+      stopped_at_2("no sequence number", "abc",
+                   "record 2 has no sequence number"),
+      stopped_at_2("sequence gap", SeqPayload(7, text(hand.tail[2])),
+                   "gap at record 2: expected 4, found 7"),
+      stopped_at_2("residue after replay began", hand.residue[0],
+                   "record 2 is out of sequence order"),
+      stopped_at_2("does not tokenize", SeqPayload(4, "\"unterminated"),
+                   "record 2 does not tokenize"),
+      stopped_at_2("does not replay", SeqPayload(4, call_text),
+                   "record 2 does not replay"),
+      stopped_at_2("no operations", SeqPayload(4, ""),
+                   "record 2 holds no operations"),
+  };
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::string bytes;
+    std::vector<uint64_t> offsets;
+    for (const std::string& payload : row.records) {
+      offsets.push_back(bytes.size());
+      AppendRecordTo(&bytes, payload);
+    }
+    bytes += row.torn_tail;
+    const auto open = [&](SalvageMode mode) {
+      const std::string dir = MakeTempDir();
+      BuildHandLogBase(dir);
+      OverwriteFile(Database::WalPath(dir), bytes);
+      Options options;
+      options.salvage_mode = mode;
+      return std::make_pair(dir,
+                            Database::Open(dir, PaperDatabase(), options));
+    };
+    auto [strict_dir, strict] = open(SalvageMode::kStrict);
+    auto [salvage_dir, salvage] = open(SalvageMode::kSalvage);
+    ASSERT_TRUE(salvage.ok()) << salvage.status().ToString();
+    const RecoveryReport& got = salvage->recovery();
+
+    if (row.stop_reason == nullptr) {
+      ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+      const RecoveryReport& want = strict->recovery();
+      EXPECT_EQ(got.ops_replayed, 4u);
+      EXPECT_EQ(got.ops_replayed, want.ops_replayed);
+      EXPECT_EQ(got.ops_skipped, want.ops_skipped);
+      EXPECT_EQ(got.dropped_torn_tail, want.dropped_torn_tail);
+      EXPECT_EQ(got.dropped_torn_tail, !row.torn_tail.empty());
+      EXPECT_EQ(got.bytes_truncated, want.bytes_truncated);
+      EXPECT_EQ(got.bytes_truncated, row.torn_tail.size());
+      EXPECT_EQ(salvage->log_ops(), strict->log_ops());
+      EXPECT_EQ(got.ops_quarantined, 0u);
+      EXPECT_FALSE(got.salvaged);
+      EXPECT_TRUE(graph::IsIsomorphic(salvage->instance(),
+                                      strict->instance()));
+      EXPECT_TRUE(graph::IsIsomorphic(salvage->instance(),
+                                      hand.states[4].instance));
+      EXPECT_FALSE(FileEnv::Default()->FileExists(
+          Database::QuarantinePath(salvage_dir)));
+      continue;
+    }
+
+    ASSERT_FALSE(strict.ok());
+    EXPECT_TRUE(strict.status().IsDataLoss()) << strict.status().ToString();
+    EXPECT_NE(strict.status().message().find(row.stop_reason),
+              std::string::npos)
+        << strict.status().ToString();
+
+    EXPECT_TRUE(got.salvaged);
+    EXPECT_EQ(got.ops_replayed, 2u);
+    EXPECT_EQ(got.ops_quarantined, 3u);
+    EXPECT_EQ(salvage->log_ops(), 2u);
+    EXPECT_EQ(got.bytes_truncated, bytes.size() - offsets[2]);
+    EXPECT_TRUE(salvage->scheme() == hand.states[2].scheme);
+    EXPECT_TRUE(
+        graph::IsIsomorphic(salvage->instance(), hand.states[2].instance));
+    ASSERT_EQ(got.salvage.dropped.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      const DroppedRange& range = got.salvage.dropped[i];
+      EXPECT_EQ(range.reason, SalvageDropReason::kUnreplayable);
+      EXPECT_EQ(range.offset, offsets[2 + i]);
+      EXPECT_EQ(range.length,
+                kRecordHeaderSize + row.records[2 + i].size());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -575,92 +746,6 @@ TEST(PartitionQuarantineTest, ReplayStopsAtRecordTouchingQuarantinedClass) {
   EXPECT_EQ(db.recovery().ops_replayed, 0u);
   EXPECT_EQ(db.recovery().ops_quarantined, 6u);
   EXPECT_TRUE(db.Scrub().clean());
-}
-
-// ---------------------------------------------------------------------------
-// Crash mid-migration: the legacy monolithic layout must survive a
-// crash at every mutating-I/O boundary of its first (migrating) open.
-// ---------------------------------------------------------------------------
-
-/// Writes the pre-partitioning snapshot format (one framed record:
-/// fixed64 next_seq + database text) plus a log tail of `wal_bytes`.
-void WriteLegacyLayout(const std::string& dir, const program::Database& db,
-                       uint64_t seq, const std::string& wal_bytes) {
-  std::string payload;
-  AppendFixed64(&payload, seq);
-  payload += program::WriteDatabase(db);
-  std::string file;
-  AppendRecordTo(&file, payload);
-  OverwriteFile(Database::SnapshotPath(dir), file);
-  if (!wal_bytes.empty()) {
-    OverwriteFile(Database::WalPath(dir), wal_bytes);
-  }
-}
-
-TEST(MigrationCrashTest, EveryCrashPointDuringMigrationRecovers) {
-  // Donor: a WAL holding the figure workload (the log format is
-  // unchanged across the layout switch).
-  const std::string donor = MakeTempDir();
-  program::Database expected = BuildLoggedDatabase(donor);
-  const std::string wal_bytes =
-      FileEnv::Default()
-          ->ReadFileToString(Database::WalPath(donor))
-          .ValueOrDie();
-
-  // Count the migration's mutating-I/O boundaries with a crash-free
-  // probe run.
-  CrashPointEnv env;
-  size_t boundaries = 0;
-  {
-    const std::string probe = MakeTempDir();
-    WriteLegacyLayout(probe, PaperDatabase(), 0, wal_bytes);
-    env.SetSchedule(CrashSchedule{});
-    Options options;
-    options.env = &env;
-    Database db = Database::Open(probe, options).ValueOrDie();
-    EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-    db.Close().OrDie();
-    boundaries = env.ops_seen();
-  }
-  ASSERT_GT(boundaries, 4u);
-
-  size_t crashes = 0;
-  for (CrashMode mode :
-       {CrashMode::kCutBeforeOp, CrashMode::kTornWrite,
-        CrashMode::kLoseUnsynced}) {
-    for (size_t k = 1; k <= boundaries; ++k) {
-      const std::string dir = MakeTempDir();
-      WriteLegacyLayout(dir, PaperDatabase(), 0, wal_bytes);
-      CrashSchedule schedule;
-      schedule.crash_at = k;
-      schedule.mode = mode;
-      env.SetSchedule(schedule);
-      Options options;
-      options.env = &env;
-      options.wal_retry_limit = 0;  // injected faults must not spin
-      auto crashed = Database::Open(dir, options);
-      if (crashed.ok()) continue;  // boundary past this run's I/O count
-      ++crashes;
-
-      // Reboot with a clean env: recovery must land on the full
-      // post-replay state no matter where the migration died — either
-      // by re-running the migration or from the committed manifest
-      // (the replay/skip split varies with how far the crashed open
-      // got, so the invariant is the recovered state itself).
-      Database db = Database::Open(dir).ValueOrDie();
-      ASSERT_TRUE(db.scheme() == expected.scheme)
-          << "mode=" << static_cast<int>(schedule.mode) << " k=" << k;
-      ASSERT_TRUE(graph::IsIsomorphic(db.instance(), expected.instance))
-          << "mode=" << static_cast<int>(schedule.mode) << " k=" << k;
-      ASSERT_TRUE(db.Scrub().clean());
-      db.Close().OrDie();
-    }
-  }
-  // Every schedule whose boundary falls inside the migrating open must
-  // actually crash (later boundaries belong to Close and are skipped).
-  EXPECT_GT(crashes, boundaries / 2) << "too few schedules crashed";
-  std::cout << "[migration-crash] " << crashes << " crashes over "
-            << boundaries << " boundaries x 3 modes\n";
 }
 
 // ---------------------------------------------------------------------------

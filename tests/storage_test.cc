@@ -889,7 +889,7 @@ TEST(MethodFailureTest, BudgetExhaustedCallLeavesMemoryAndLogConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot corruption & the snapshot.prev fallback chain
+// Snapshot corruption & the manifest.prev fallback chain
 // ---------------------------------------------------------------------------
 
 /// Bootstraps, checkpoints a 3-op state (displacing the bootstrap
@@ -1170,96 +1170,37 @@ TEST(IncrementalCheckpointTest, CarriedPartitionsSurviveReload) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy monolithic snapshots: transparent migration
+// The pre-partitioning monolithic snapshot layout is refused, not read
 // ---------------------------------------------------------------------------
 
-/// Writes the pre-partitioning on-disk snapshot format: one framed
-/// record holding fixed64 next_seq + the database text.
-void WriteLegacySnapshot(const std::string& path,
-                         const program::Database& db, uint64_t seq) {
+TEST(LegacyLayoutTest, MonolithicSnapshotIsRefused) {
+  // The old format: one framed record holding fixed64 next_seq + the
+  // database text, in snapshot.good with no manifest beside it.
+  std::string dir = MakeTempDir();
   std::string payload;
-  AppendFixed64(&payload, seq);
-  payload += program::WriteDatabase(db);
+  AppendFixed64(&payload, 0);
+  payload += program::WriteDatabase(PaperDatabase());
   std::string file;
   AppendRecordTo(&file, payload);
-  Overwrite(path, file);
-}
+  const std::string legacy = dir + "/snapshot.good";
+  Overwrite(legacy, file);
 
-TEST(LegacyMigrationTest, MonolithicSnapshotMigratesOnFirstOpen) {
-  std::string dir = MakeTempDir();
-  program::Database initial = PaperDatabase();
-  WriteLegacySnapshot(Database::SnapshotPath(dir), initial, 0);
-
-  program::Database expected;
-  {
-    Database db = Database::Open(dir).ValueOrDie();
-    EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-    EXPECT_NE(db.recovery().ToString().find("migrated legacy snapshot"),
-              std::string::npos);
-    EXPECT_TRUE(graph::IsIsomorphic(db.instance(), initial.instance));
-    // The directory now speaks the partitioned layout, and the stale
-    // monolithic file was swept by the migration checkpoint's GC.
-    EXPECT_TRUE(
-        FileEnv::Default()->FileExists(Database::ManifestPath(dir)));
-    EXPECT_FALSE(
-        FileEnv::Default()->FileExists(Database::SnapshotPath(dir)));
-    db.Apply(SampleOps(db.scheme())[0]).OrDie();
-    expected = program::Database{db.scheme(), db.instance()};
+  for (SalvageMode mode : {SalvageMode::kStrict, SalvageMode::kSalvage,
+                           SalvageMode::kReadOnlyDegraded}) {
+    Options options;
+    options.salvage_mode = mode;
+    auto opened = Database::Open(dir, PaperDatabase(), options);
+    ASSERT_FALSE(opened.ok()) << SalvageModeToString(mode);
+    EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition)
+        << opened.status().ToString();
+    EXPECT_NE(opened.status().message().find(legacy), std::string::npos)
+        << opened.status().ToString();
   }
-  // The second open is an ordinary partitioned open.
-  Database again = Database::Open(dir).ValueOrDie();
-  EXPECT_FALSE(again.recovery().migrated_legacy_snapshot);
-  EXPECT_EQ(again.recovery().ops_replayed, 1u);
-  EXPECT_TRUE(graph::IsIsomorphic(again.instance(), expected.instance));
-}
-
-TEST(LegacyMigrationTest, LegacyWalReplaysBeforeMigration) {
-  // A legacy directory caught mid-flight: monolithic snapshot plus a
-  // log tail. The log format is unchanged across the layout switch, so
-  // a log written against today's engine stands in for a legacy one.
-  std::string donor = MakeTempDir();
-  program::Database expected;
-  {
-    Database db = Database::Open(donor, PaperDatabase()).ValueOrDie();
-    std::vector<Operation> ops = SampleOps(db.scheme());
-    db.Apply(ops[0]).OrDie();
-    db.Apply(ops[1]).OrDie();
-    expected = program::Database{db.scheme(), db.instance()};
-  }
-  std::string dir = MakeTempDir();
-  WriteLegacySnapshot(Database::SnapshotPath(dir), PaperDatabase(), 0);
-  Overwrite(Database::WalPath(dir),
-            FileEnv::Default()
-                ->ReadFileToString(Database::WalPath(donor))
-                .ValueOrDie());
-
-  Database db = Database::Open(dir).ValueOrDie();
-  EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-  EXPECT_EQ(db.recovery().ops_replayed, 2u);
-  EXPECT_TRUE(db.scheme() == expected.scheme);
-  EXPECT_TRUE(graph::IsIsomorphic(db.instance(), expected.instance));
-  EXPECT_EQ(db.log_ops(), 0u) << "migration checkpointed the replay";
-}
-
-TEST(LegacyMigrationTest, DamagedLegacyCurrentFallsBackToPrevAndMigrates) {
-  std::string dir = MakeTempDir();
-  program::Database initial = PaperDatabase();
-  WriteLegacySnapshot(Database::SnapshotPath(dir), initial, 3);
-  WriteLegacySnapshot(Database::PreviousSnapshotPath(dir), initial, 0);
-  // Damage the current monolithic snapshot; the displaced one survives.
-  Overwrite(Database::SnapshotPath(dir), "junk");
-
-  auto strict = Database::Open(dir);
-  ASSERT_FALSE(strict.ok());
-  EXPECT_TRUE(strict.status().IsDataLoss());
-
-  Options options;
-  options.salvage_mode = SalvageMode::kSalvage;
-  Database db = Database::Open(dir, options).ValueOrDie();
-  EXPECT_TRUE(db.recovery().used_previous_snapshot);
-  EXPECT_TRUE(db.recovery().salvaged);
-  EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-  EXPECT_TRUE(graph::IsIsomorphic(db.instance(), initial.instance));
+  // Nothing was bootstrapped over it, and the file is untouched.
+  EXPECT_FALSE(FileEnv::Default()->FileExists(Database::ManifestPath(dir)));
+  EXPECT_FALSE(
+      FileEnv::Default()->FileExists(Database::PreviousManifestPath(dir)));
+  EXPECT_EQ(FileEnv::Default()->ReadFileToString(legacy).ValueOrDie(), file);
 }
 
 // ---------------------------------------------------------------------------
@@ -1314,34 +1255,6 @@ TEST(DoubleDisplacementTest, PartitionedLayoutSurvivesBackToBackCrashes) {
   Database reopened = Database::Open(dir, PaperDatabase()).ValueOrDie();
   EXPECT_EQ(reopened.recovery().ops_replayed, 0u);
   EXPECT_TRUE(graph::IsIsomorphic(reopened.instance(), expected.instance));
-}
-
-TEST(DoubleDisplacementTest, CrashedMigrationAfterCrashedLegacyCheckpoint) {
-  // The monolithic-upgrade variant: the legacy database's last
-  // checkpoint crashed (snapshot.prev only — its own displacement
-  // window), and now the migration checkpoint crashes too.
-  std::string dir = MakeTempDir();
-  program::Database initial = PaperDatabase();
-  WriteLegacySnapshot(Database::PreviousSnapshotPath(dir), initial, 0);
-
-  FaultInjectionEnv env;
-  Options options;
-  options.env = &env;
-  FaultPlan plan;
-  plan.fail_rename_at = 1;  // no manifest.good yet, so #1 is the publish
-  env.SetPlan(plan);
-  auto crashed = Database::Open(dir, options);
-  ASSERT_FALSE(crashed.ok());
-
-  // The legacy chain is untouched; a clean open migrates successfully.
-  Database db = Database::Open(dir).ValueOrDie();
-  EXPECT_TRUE(db.recovery().migrated_legacy_snapshot);
-  EXPECT_TRUE(db.recovery().used_previous_snapshot);
-  EXPECT_TRUE(graph::IsIsomorphic(db.instance(), initial.instance));
-  EXPECT_TRUE(
-      FileEnv::Default()->FileExists(Database::ManifestPath(dir)));
-  EXPECT_FALSE(
-      FileEnv::Default()->FileExists(Database::PreviousSnapshotPath(dir)));
 }
 
 // ---------------------------------------------------------------------------
