@@ -18,7 +18,6 @@
 #include "program/program.h"
 #include "storage/database.h"
 #include "storage/file_env.h"
-#include "storage/salvage.h"
 #include "storage/scrub.h"
 #include "storage/wal.h"
 
@@ -241,7 +240,7 @@ void BM_SalvageScan(benchmark::State& state) {
   }
   size_t kept = 0;
   for (auto _ : state) {
-    storage::SalvageResult result = storage::WalSalvager::Scan(it->second);
+    storage::LogScan result = storage::ScanLogRecords(it->second);
     kept = result.report.frames_kept;
     benchmark::DoNotOptimize(result);
   }

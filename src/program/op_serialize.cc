@@ -362,7 +362,7 @@ Result<std::vector<Operation>> ParseOperations(const Scheme& scheme,
   return out;
 }
 
-Result<OperationReader> OperationReader::Open(const std::string& input) {
+Result<OperationReader> OperationReader::Open(std::string_view input) {
   GOOD_ASSIGN_OR_RETURN(auto tokens, text::Tokenize(input));
   return OperationReader(Cursor(std::move(tokens)));
 }

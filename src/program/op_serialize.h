@@ -33,6 +33,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/instance.h"
@@ -104,7 +105,7 @@ Result<ParsedOperation> ParseOperationNamed(const schema::Scheme& scheme,
 class OperationReader {
  public:
   /// Tokenizes `text`; InvalidArgument on lexical errors.
-  static Result<OperationReader> Open(const std::string& text);
+  static Result<OperationReader> Open(std::string_view text);
 
   bool AtEnd() const { return cursor_.AtEnd(); }
 

@@ -5,7 +5,7 @@
 
 namespace good::program::text {
 
-Result<std::vector<Token>> Tokenize(const std::string& input) {
+Result<std::vector<Token>> Tokenize(std::string_view input) {
   std::vector<Token> out;
   size_t i = 0;
   const size_t n = input.size();

@@ -10,6 +10,7 @@
 #define GOOD_PROGRAM_TEXT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -22,7 +23,7 @@ struct Token {
 };
 
 /// Splits `input` into tokens; InvalidArgument on unterminated strings.
-Result<std::vector<Token>> Tokenize(const std::string& input);
+Result<std::vector<Token>> Tokenize(std::string_view input);
 
 /// Statement-shaped access over a token stream.
 class Cursor {

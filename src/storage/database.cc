@@ -20,6 +20,48 @@
 namespace good::storage {
 namespace {
 
+/// Writes the dropped byte ranges (resolved against the scanned
+/// `file_bytes`) to `path` as a quarantine sidecar: one framed record
+/// per range whose payload is [fixed64 original offset][fixed32
+/// reason][raw bytes]. The sidecar uses the standard framing so it can
+/// itself be read back with ReadLogRecords.
+Status WriteQuarantine(FileEnv* env, const std::string& path,
+                       std::string_view file_bytes,
+                       const std::vector<DroppedRange>& dropped) {
+  if (dropped.empty()) return Status::OK();
+  std::string contents;
+  for (const DroppedRange& range : dropped) {
+    std::string payload;
+    AppendFixed64(&payload, range.offset);
+    AppendFixed32(&payload, static_cast<uint32_t>(range.reason));
+    payload.append(file_bytes.substr(range.offset, range.length));
+    AppendRecordTo(&contents, payload);
+  }
+  GOOD_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                        env->NewWritableFile(path, /*truncate=*/true));
+  GOOD_RETURN_NOT_OK(file->Append(contents));
+  GOOD_RETURN_NOT_OK(file->Sync());
+  return file->Close();
+}
+
+/// Rewrites `wal_path` to hold exactly the frames of `keep`, via a temp
+/// file and atomic rename, so a crash mid-repair leaves either the
+/// damaged original or the repaired file, never a half-written one.
+/// Returns the rewritten log's size.
+Result<uint64_t> RewriteLog(FileEnv* env, const std::string& wal_path,
+                            const std::vector<LogFrame>& keep) {
+  std::string contents;
+  for (const LogFrame& frame : keep) AppendRecordTo(&contents, frame.payload);
+  const std::string tmp = wal_path + ".repair";
+  GOOD_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                        env->NewWritableFile(tmp, /*truncate=*/true));
+  GOOD_RETURN_NOT_OK(file->Append(contents));
+  GOOD_RETURN_NOT_OK(file->Sync());
+  GOOD_RETURN_NOT_OK(file->Close());
+  GOOD_RETURN_NOT_OK(env->RenameFile(tmp, wal_path));
+  return contents.size();
+}
+
 const method::MethodRegistry& EmptyRegistry() {
   static const method::MethodRegistry* empty = new method::MethodRegistry();
   return *empty;
@@ -265,7 +307,7 @@ Status Database::ReplayRecord(std::string_view op_text, size_t index) {
   // record: the rollback scope guarantees a record that fails midway
   // leaves the state exactly at the previous record boundary — which
   // is what lets salvage mode keep serving the replayed prefix.
-  auto reader = program::OperationReader::Open(std::string(op_text));
+  auto reader = program::OperationReader::Open(op_text);
   if (!reader.ok()) {
     return Status::DataLoss("log record " + std::to_string(index) +
                             " does not tokenize: " +
@@ -314,20 +356,85 @@ Status Database::ReplayWal(uint64_t* valid_bytes) {
   if (!options_.env->FileExists(wal)) return Status::OK();
   GOOD_ASSIGN_OR_RETURN(std::string bytes,
                         options_.env->ReadFileToString(wal));
-  if (options_.salvage_mode == SalvageMode::kStrict) {
-    return ReplayWalStrict(bytes, valid_bytes);
+  // One scan, one replay. Strict and salvage differ only in what they
+  // make of the damage the scan found and of where replay stopped.
+  LogScan scan = ScanLogRecords(bytes);
+  const Status damage = CheckTornTailOnly(scan.report, bytes.size());
+  const bool strict = options_.salvage_mode == SalvageMode::kStrict;
+  if (strict) GOOD_RETURN_NOT_OK(damage);
+  recovery_.dropped_torn_tail =
+      !scan.report.dropped.empty() &&
+      scan.report.dropped.back().offset + scan.report.dropped.back().length ==
+          bytes.size();
+  // Replay the longest prefix of frames that is sound to execute. The
+  // frame replay stopped at ends the prefix — an intact frame past a
+  // hole may depend on lost operations, so executing it would
+  // fabricate state.
+  GOOD_ASSIGN_OR_RETURN(ReplayStop stop, ReplayRecords(scan.frames));
+  if (strict) GOOD_RETURN_NOT_OK(stop.status);
+  log_ops_ = stop.index;
+  ops_since_checkpoint_ = recovery_.ops_replayed;
+  // A clean log or a plain torn tail, replayed to its end.
+  const bool intact = damage.ok() && stop.status.ok();
+
+  if (!strict) {
+    // Frames past the stop point are salvageable but not replayable:
+    // quarantine them alongside the corrupt byte ranges.
+    for (size_t i = stop.index; i < scan.frames.size(); ++i) {
+      const uint64_t extent =
+          kRecordHeaderSize + scan.frames[i].payload.size();
+      scan.report.dropped.push_back(DroppedRange{
+          scan.frames[i].offset, extent, SalvageDropReason::kUnreplayable});
+      scan.report.bytes_dropped += extent;
+      scan.report.bytes_kept -= extent;
+      ++recovery_.ops_quarantined;
+    }
+    std::sort(scan.report.dropped.begin(), scan.report.dropped.end(),
+              [](const DroppedRange& a, const DroppedRange& b) {
+                return a.offset < b.offset;
+              });
+    // The frames to keep are the replayed ones: skipped residue is a
+    // prefix (it is durable in the snapshot), quarantined frames the
+    // rest.
+    std::vector<LogFrame>& kept = scan.frames;
+    kept.resize(stop.index);
+    kept.erase(kept.begin(), kept.begin() + recovery_.ops_skipped);
+    scan.report.frames_kept = kept.size();
+    scan.report.clean = scan.report.dropped.empty();
+    recovery_.salvaged |= !intact;
+    recovery_.salvage = scan.report;
+
+    if (options_.salvage_mode == SalvageMode::kReadOnlyDegraded) {
+      // Report only; the damaged file stays byte-for-byte as found.
+      return Status::OK();
+    }
+    if (!intact || recovery_.used_previous_snapshot) {
+      // Real damage: preserve every dropped byte in the sidecar, then
+      // rewrite the log to exactly the replayed prefix (atomically — a
+      // crash mid-repair leaves the damaged original, and salvage is
+      // idempotent).
+      GOOD_RETURN_NOT_OK(WriteQuarantine(options_.env, QuarantinePath(dir_),
+                                         bytes, scan.report.dropped));
+      GOOD_ASSIGN_OR_RETURN(*valid_bytes, RewriteLog(options_.env, wal, kept));
+      recovery_.bytes_truncated = bytes.size() - *valid_bytes;
+      log_ops_ = kept.size();
+      return Status::OK();
+    }
   }
-  return ReplayWalSalvage(wal, bytes, valid_bytes);
+  // Clean log or plain torn tail: OpenWalForAppend cuts the tail off.
+  *valid_bytes = scan.report.clean_prefix_bytes;
+  recovery_.bytes_truncated = bytes.size() - *valid_bytes;
+  return Status::OK();
 }
 
 Result<Database::ReplayStop> Database::ReplayRecords(
-    const std::vector<std::string_view>& payloads) {
+    const std::vector<LogFrame>& frames) {
   const uint64_t snapshot_seq = next_seq_;
-  for (size_t i = 0; i < payloads.size(); ++i) {
+  for (size_t i = 0; i < frames.size(); ++i) {
     // Replay executes real operations — a huge log tail can take a
     // while, so recovery is cancellable like any other long engine run.
     GOOD_RETURN_NOT_OK(options_.recovery_deadline.Check());
-    std::string_view payload = payloads[i];
+    std::string_view payload = frames[i].payload;
     auto seq = ConsumeFixed64(&payload);
     if (!seq.ok()) {
       return ReplayStop{i, Status::DataLoss("log record " + std::to_string(i) +
@@ -357,107 +464,7 @@ Result<Database::ReplayStop> Database::ReplayRecords(
     Status replayed = ReplayRecord(payload, i);
     if (!replayed.ok()) return ReplayStop{i, std::move(replayed)};
   }
-  return ReplayStop{payloads.size(), Status::OK()};
-}
-
-Status Database::ReplayWalStrict(std::string_view bytes,
-                                 uint64_t* valid_bytes) {
-  GOOD_ASSIGN_OR_RETURN(LogContents contents, ReadLogRecords(bytes));
-  *valid_bytes = contents.valid_bytes;
-  recovery_.dropped_torn_tail = contents.dropped_torn_tail;
-  recovery_.bytes_truncated = bytes.size() - contents.valid_bytes;
-  const std::vector<std::string_view> payloads(contents.records.begin(),
-                                               contents.records.end());
-  GOOD_ASSIGN_OR_RETURN(ReplayStop stop, ReplayRecords(payloads));
-  GOOD_RETURN_NOT_OK(stop.status);
-  log_ops_ = stop.index;
-  ops_since_checkpoint_ = recovery_.ops_replayed;
-  return Status::OK();
-}
-
-Status Database::ReplayWalSalvage(const std::string& wal,
-                                  std::string_view bytes,
-                                  uint64_t* valid_bytes) {
-  SalvageResult scan = WalSalvager::Scan(bytes);
-  recovery_.dropped_torn_tail =
-      !scan.report.dropped.empty() &&
-      scan.report.dropped.back().offset + scan.report.dropped.back().length ==
-          bytes.size();
-  // A lone dropped range at the exact end of the clean prefix is the
-  // ordinary torn tail strict mode tolerates too; everything else is
-  // real salvage work.
-  const bool torn_tail_only =
-      scan.report.clean ||
-      (scan.report.dropped.size() == 1 &&
-       scan.report.dropped[0].offset == scan.report.clean_prefix_bytes &&
-       recovery_.dropped_torn_tail);
-
-  // Replay the longest prefix of frames that is sound to execute. The
-  // frame replay stopped at ends the prefix — an intact frame past a
-  // hole may depend on lost operations, so executing it would
-  // fabricate state.
-  std::vector<std::string_view> payloads;
-  payloads.reserve(scan.frames.size());
-  for (const SalvagedFrame& frame : scan.frames) {
-    payloads.push_back(frame.payload);
-  }
-  GOOD_ASSIGN_OR_RETURN(ReplayStop stop, ReplayRecords(payloads));
-  // Frames past the stop point are salvageable but not replayable:
-  // quarantine them alongside the corrupt byte ranges.
-  for (size_t i = stop.index; i < scan.frames.size(); ++i) {
-    const uint64_t extent = kRecordHeaderSize + scan.frames[i].payload.size();
-    scan.report.dropped.push_back(DroppedRange{
-        scan.frames[i].offset, extent, SalvageDropReason::kUnreplayable});
-    scan.report.bytes_dropped += extent;
-    scan.report.bytes_kept -= extent;
-    ++recovery_.ops_quarantined;
-  }
-  std::sort(scan.report.dropped.begin(), scan.report.dropped.end(),
-            [](const DroppedRange& a, const DroppedRange& b) {
-              return a.offset < b.offset;
-            });
-  // The frames to keep are the replayed ones: skipped residue is a
-  // prefix (it is durable in the snapshot), quarantined frames the rest.
-  std::vector<SalvagedFrame>& kept = scan.frames;
-  kept.resize(stop.index);
-  kept.erase(kept.begin(), kept.begin() + recovery_.ops_skipped);
-  scan.report.frames_kept = kept.size();
-  scan.report.clean = scan.report.dropped.empty();
-
-  const bool stopped = !stop.status.ok();
-  recovery_.salvaged |= stopped || !torn_tail_only;
-  recovery_.salvage = scan.report;
-  log_ops_ = stop.index;
-  ops_since_checkpoint_ = recovery_.ops_replayed;
-
-  if (options_.salvage_mode == SalvageMode::kReadOnlyDegraded) {
-    // Report only; the damaged file stays byte-for-byte as found.
-    *valid_bytes = 0;
-    return Status::OK();
-  }
-  if (stopped || !torn_tail_only || recovery_.used_previous_snapshot) {
-    // Real damage: preserve every dropped byte in the sidecar, then
-    // rewrite the log to exactly the replayed prefix (atomically — a
-    // crash mid-repair leaves the damaged original, and salvage is
-    // idempotent).
-    GOOD_RETURN_NOT_OK(WalSalvager::WriteQuarantine(
-        options_.env, QuarantinePath(dir_), bytes, scan));
-    GOOD_RETURN_NOT_OK(
-        WalSalvager::RewriteLog(options_.env, wal, kept, kept.size()));
-    uint64_t kept_bytes = 0;
-    for (const SalvagedFrame& frame : kept) {
-      kept_bytes += kRecordHeaderSize + frame.payload.size();
-    }
-    *valid_bytes = kept_bytes;
-    recovery_.bytes_truncated = bytes.size() - kept_bytes;
-    log_ops_ = kept.size();
-  } else {
-    // Clean log or plain torn tail: behave exactly like strict mode
-    // (the tail is truncated by OpenWalForAppend).
-    *valid_bytes = scan.report.clean_prefix_bytes;
-    recovery_.bytes_truncated = bytes.size() - *valid_bytes;
-  }
-  return Status::OK();
+  return ReplayStop{frames.size(), Status::OK()};
 }
 
 Status Database::OpenWalForAppend(uint64_t valid_bytes) {

@@ -29,7 +29,7 @@
 ///    tail, under one of three damage policies (Options::salvage_mode):
 ///    kStrict drops a torn *final* record (the residue of an
 ///    interrupted append) and fails loudly with kDataLoss on anything
-///    worse; kSalvage scans past interior damage (storage/salvage.h),
+///    worse; kSalvage scans past interior damage (storage/wal.h),
 ///    replays the longest sound prefix, quarantines everything it had
 ///    to drop into a sidecar file, and repairs the log in place;
 ///    kReadOnlyDegraded recovers the same salvaged prefix without
@@ -61,7 +61,6 @@
 #include "program/program.h"
 #include "storage/file_env.h"
 #include "storage/partition.h"
-#include "storage/salvage.h"
 #include "storage/scrub.h"
 #include "storage/wal.h"
 
@@ -315,12 +314,10 @@ class Database {
   Status LoadManifestFile(const std::string& path);
   /// Replays the log tail over the snapshot state; reports the byte
   /// offset appends must resume from (torn tails are cut off there).
-  /// Dispatches to the strict or salvaging variant per salvage_mode;
-  /// both read the file their own way and share ReplayRecords.
+  /// Scans the log once and replays it through ReplayRecords; strict
+  /// mode refuses any damage beyond a torn tail and any replay stop,
+  /// the salvage modes quarantine them (see SalvageMode).
   Status ReplayWal(uint64_t* valid_bytes);
-  Status ReplayWalStrict(std::string_view bytes, uint64_t* valid_bytes);
-  Status ReplayWalSalvage(const std::string& wal, std::string_view bytes,
-                          uint64_t* valid_bytes);
   /// Where ReplayRecords stopped: the first record it did not replay
   /// (the record count when it replayed them all), and the kDataLoss
   /// naming why (OK when it replayed them all).
@@ -328,13 +325,12 @@ class Database {
     size_t index = 0;
     Status status;
   };
-  /// The one replay loop: walks the log payloads in order, skipping
+  /// The one replay loop: walks the log frames in order, skipping
   /// checkpoint residue and replaying the rest, and stops at the first
   /// record without a sequence number, residue after replay began, a
   /// sequence gap, or a record ReplayRecord fails. Only an expired
   /// recovery_deadline fails the call itself.
-  Result<ReplayStop> ReplayRecords(
-      const std::vector<std::string_view>& payloads);
+  Result<ReplayStop> ReplayRecords(const std::vector<LogFrame>& frames);
   /// Parses and executes one logged operation (the payload with its
   /// sequence number already consumed).
   Status ReplayRecord(std::string_view op_text, size_t index);

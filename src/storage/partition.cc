@@ -186,16 +186,14 @@ Result<std::string> ReadVerifiedRecord(FileEnv* env, const std::string& dir,
     return Status::DataLoss(std::string(what) + " file " + entry.file +
                             " fails its manifest checksum");
   }
-  auto contents = ReadLogRecords(*bytes);
-  if (!contents.ok()) {
+  auto payload = ReadSingleRecord(*bytes);
+  if (!payload.ok()) {
     return Status::DataLoss(std::string(what) + " file " + entry.file +
-                            " corrupt: " + contents.status().message());
+                            " corrupt: " + payload.status().message());
   }
-  if (contents->dropped_torn_tail || contents->records.size() != 1) {
-    return Status::DataLoss(std::string(what) + " file " + entry.file +
-                            " does not hold exactly one intact record");
-  }
-  return std::move(contents->records[0]);
+  // Strip the header in place rather than copy a multi-MB payload.
+  bytes->erase(0, kRecordHeaderSize);
+  return std::move(*bytes);
 }
 
 }  // namespace
@@ -250,15 +248,11 @@ std::string EncodeManifest(const Manifest& manifest) {
 }
 
 Result<Manifest> DecodeManifest(std::string_view file_bytes) {
-  GOOD_ASSIGN_OR_RETURN(LogContents contents, ReadLogRecords(file_bytes));
-  if (contents.dropped_torn_tail || contents.records.size() != 1) {
-    return Status::DataLoss(
-        "manifest does not hold exactly one intact record");
-  }
-  std::string_view payload = contents.records[0];
+  GOOD_ASSIGN_OR_RETURN(std::string_view payload,
+                        ReadSingleRecord(file_bytes));
   Manifest manifest;
   GOOD_ASSIGN_OR_RETURN(manifest.next_seq, ConsumeFixed64(&payload));
-  GOOD_ASSIGN_OR_RETURN(auto tokens, Tokenize(std::string(payload)));
+  GOOD_ASSIGN_OR_RETURN(auto tokens, Tokenize(payload));
   Cursor cursor(std::move(tokens));
   GOOD_RETURN_NOT_OK(cursor.Expect("manifest"));
   GOOD_RETURN_NOT_OK(cursor.Expect("{"));

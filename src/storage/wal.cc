@@ -45,40 +45,171 @@ void AppendRecordTo(std::string* dst, std::string_view payload) {
   dst->append(payload);
 }
 
-Result<LogContents> ReadLogRecords(std::string_view file_bytes) {
-  LogContents out;
-  uint64_t pos = 0;
+namespace {
+
+/// The one frame-header decoder: true iff `bytes` at `pos` starts a
+/// frame whose checksum verifies, with its payload in `*payload`.
+bool FrameVerifiesAt(std::string_view bytes, uint64_t pos,
+                     std::string_view* payload) {
+  const uint64_t remaining = bytes.size() - pos;
+  if (remaining < kRecordHeaderSize) return false;
+  const uint32_t length = DecodeFixed32(bytes.substr(pos, 4));
+  if (length > remaining - kRecordHeaderSize) return false;
+  const uint32_t stored_crc = DecodeFixed32(bytes.substr(pos + 4, 4));
+  std::string_view candidate = bytes.substr(pos + kRecordHeaderSize, length);
+  if (Crc32(candidate) != stored_crc) return false;
+  *payload = candidate;
+  return true;
+}
+
+}  // namespace
+
+std::string_view SalvageDropReasonToString(SalvageDropReason reason) {
+  switch (reason) {
+    case SalvageDropReason::kBadChecksum:
+      return "bad-checksum";
+    case SalvageDropReason::kTruncatedPayload:
+      return "truncated-payload";
+    case SalvageDropReason::kPartialHeader:
+      return "partial-header";
+    case SalvageDropReason::kResyncSkip:
+      return "resync-skip";
+    case SalvageDropReason::kUnreplayable:
+      return "unreplayable";
+  }
+  return "unknown";
+}
+
+std::string SalvageReport::ToString() const {
+  std::string out = "kept " + std::to_string(frames_kept) + " frames / " +
+                    std::to_string(bytes_kept) + " B, dropped " +
+                    std::to_string(dropped.size()) + " ranges / " +
+                    std::to_string(bytes_dropped) + " B";
+  if (clean) out += " (clean)";
+  return out;
+}
+
+LogScan ScanLogRecords(std::string_view file_bytes) {
+  LogScan out;
   const uint64_t total = file_bytes.size();
+  uint64_t pos = 0;
+  bool in_clean_prefix = true;
+  // Coalesces consecutive dropped bytes into one range per damage run.
+  uint64_t drop_start = 0;
+  uint64_t drop_length = 0;
+  SalvageDropReason drop_reason = SalvageDropReason::kBadChecksum;
+  auto flush_drop = [&] {
+    if (drop_length == 0) return;
+    out.report.dropped.push_back(
+        DroppedRange{drop_start, drop_length, drop_reason});
+    out.report.bytes_dropped += drop_length;
+    drop_length = 0;
+  };
+  auto drop = [&](uint64_t at, uint64_t len, SalvageDropReason reason) {
+    if (drop_length > 0 &&
+        (drop_start + drop_length != at || drop_reason != reason)) {
+      flush_drop();
+    }
+    if (drop_length == 0) {
+      drop_start = at;
+      drop_reason = reason;
+    }
+    drop_length += len;
+    in_clean_prefix = false;
+  };
+
   while (pos < total) {
     const uint64_t remaining = total - pos;
     if (remaining < kRecordHeaderSize) {
-      out.dropped_torn_tail = true;  // partial header at EOF
+      drop(pos, remaining, SalvageDropReason::kPartialHeader);
       break;
     }
-    const uint32_t length = DecodeFixed32(file_bytes.substr(pos, 4));
-    const uint32_t stored_crc = DecodeFixed32(file_bytes.substr(pos + 4, 4));
-    if (length > remaining - kRecordHeaderSize) {
-      out.dropped_torn_tail = true;  // payload cut off at EOF
-      break;
+    std::string_view payload;
+    if (FrameVerifiesAt(file_bytes, pos, &payload)) {
+      flush_drop();
+      out.frames.push_back(LogFrame{pos, payload});
+      out.report.bytes_kept += kRecordHeaderSize + payload.size();
+      pos += kRecordHeaderSize + payload.size();
+      if (in_clean_prefix) out.report.clean_prefix_bytes = pos;
+      continue;
     }
-    std::string_view payload =
-        file_bytes.substr(pos + kRecordHeaderSize, length);
-    if (Crc32(payload) != stored_crc) {
-      if (pos + kRecordHeaderSize + length == total) {
-        out.dropped_torn_tail = true;  // checksum-failing final record
-        break;
+    // The header at `pos` does not describe a verifiable frame. Classify
+    // the damage for the report, then resync: slide forward until some
+    // offset verifies again (or EOF). A resync point must carry a
+    // payload: eight zero bytes frame an empty payload (whose CRC is
+    // zero), so zero fill, or a torn record's zero sequence number,
+    // would otherwise pass for a frame.
+    const uint32_t declared = DecodeFixed32(file_bytes.substr(pos, 4));
+    const bool truncated = declared > remaining - kRecordHeaderSize;
+    const uint64_t frame_extent =
+        truncated ? remaining : kRecordHeaderSize + declared;
+    uint64_t next = pos + 1;
+    while (next < total && !(FrameVerifiesAt(file_bytes, next, &payload) &&
+                             !payload.empty())) {
+      ++next;
+    }
+    if (next >= pos + frame_extent || next >= total) {
+      // The whole declared frame (or the rest of the file) is damage.
+      drop(pos, frame_extent,
+           truncated ? SalvageDropReason::kTruncatedPayload
+                     : SalvageDropReason::kBadChecksum);
+      ++out.report.frames_dropped;
+      pos += frame_extent;
+      if (next > pos && next < total) {
+        drop(pos, next - pos, SalvageDropReason::kResyncSkip);
+        pos = next;
       }
-      return Status::DataLoss(
-          "record at offset " + std::to_string(pos) +
-          " failed its checksum with " +
-          std::to_string(total - pos - kRecordHeaderSize - length) +
-          " bytes following it");
+    } else {
+      // A verifiable frame begins inside the bad frame's declared
+      // extent — trust the checksum over the (possibly corrupt) length
+      // field and resync there.
+      drop(pos, next - pos, SalvageDropReason::kBadChecksum);
+      ++out.report.frames_dropped;
+      pos = next;
     }
-    out.records.emplace_back(payload);
-    pos += kRecordHeaderSize + length;
-    out.valid_bytes = pos;
   }
+  flush_drop();
+  out.report.frames_kept = out.frames.size();
+  out.report.clean = out.report.dropped.empty();
+  if (out.report.clean) out.report.clean_prefix_bytes = total;
   return out;
+}
+
+Status CheckTornTailOnly(const SalvageReport& report, uint64_t file_size) {
+  if (report.clean) return Status::OK();
+  const DroppedRange& first = report.dropped.front();
+  if (report.dropped.size() == 1 && first.offset == report.clean_prefix_bytes &&
+      first.offset + first.length == file_size) {
+    return Status::OK();
+  }
+  return Status::DataLoss(
+      "record at offset " + std::to_string(first.offset) + " is damaged (" +
+      std::string(SalvageDropReasonToString(first.reason)) + ", " +
+      std::to_string(first.length) + " B) with " +
+      std::to_string(file_size - first.offset - first.length) +
+      " bytes following it");
+}
+
+Result<LogContents> ReadLogRecords(std::string_view file_bytes) {
+  LogScan scan = ScanLogRecords(file_bytes);
+  GOOD_RETURN_NOT_OK(CheckTornTailOnly(scan.report, file_bytes.size()));
+  LogContents out;
+  out.records.reserve(scan.frames.size());
+  for (const LogFrame& frame : scan.frames) {
+    out.records.push_back(frame.payload);
+  }
+  out.valid_bytes = scan.report.clean_prefix_bytes;
+  out.dropped_torn_tail = !scan.report.clean;
+  return out;
+}
+
+Result<std::string_view> ReadSingleRecord(std::string_view file_bytes) {
+  std::string_view payload;
+  if (!FrameVerifiesAt(file_bytes, 0, &payload) ||
+      kRecordHeaderSize + payload.size() != file_bytes.size()) {
+    return Status::DataLoss("file does not hold exactly one intact record");
+  }
+  return payload;
 }
 
 Status LogWriter::AppendRecord(std::string_view payload) {

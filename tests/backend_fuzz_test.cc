@@ -25,7 +25,6 @@
 #include "storage/crc32.h"
 #include "storage/database.h"
 #include "storage/fault_env.h"
-#include "storage/salvage.h"
 #include "storage/wal.h"
 
 namespace good::relational {
@@ -563,7 +562,7 @@ TEST_P(SalvageFuzzTest, RandomCorruptionNeverBreaksScanInvariants) {
 
   // An undamaged log scans clean and keeps everything.
   {
-    storage::SalvageResult clean = storage::WalSalvager::Scan(log);
+    storage::LogScan clean = storage::ScanLogRecords(log);
     EXPECT_TRUE(clean.report.clean);
     EXPECT_EQ(clean.frames.size(), frames);
     EXPECT_EQ(clean.report.clean_prefix_bytes, log.size());
@@ -575,14 +574,14 @@ TEST_P(SalvageFuzzTest, RandomCorruptionNeverBreaksScanInvariants) {
   {
     using storage::DroppedRange;
     using storage::SalvageDropReason;
-    const std::vector<storage::SalvagedFrame> intact =
-        storage::WalSalvager::Scan(log).frames;
+    const std::vector<storage::LogFrame> intact =
+        storage::ScanLogRecords(log).frames;
     const auto extent = [&](size_t i) {
       return storage::kRecordHeaderSize + intact[i].payload.size();
     };
     const auto expect_drops = [](const std::string& bytes,
                                  const std::vector<DroppedRange>& want) {
-      storage::SalvageResult got = storage::WalSalvager::Scan(bytes);
+      storage::LogScan got = storage::ScanLogRecords(bytes);
       ASSERT_EQ(got.report.dropped.size(), want.size());
       for (size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(got.report.dropped[i].offset, want[i].offset);
@@ -605,7 +604,7 @@ TEST_P(SalvageFuzzTest, RandomCorruptionNeverBreaksScanInvariants) {
                  {{at, extent(k), SalvageDropReason::kBadChecksum},
                   {intact[k + 1].offset, 5, SalvageDropReason::kResyncSkip}});
     // kTruncatedPayload: the last frame cut inside its payload.
-    const storage::SalvagedFrame& last = intact.back();
+    const storage::LogFrame& last = intact.back();
     const std::string cut = log.substr(
         0, last.offset + storage::kRecordHeaderSize + last.payload.size() / 2);
     expect_drops(cut, {{last.offset, cut.size() - last.offset,
@@ -613,6 +612,17 @@ TEST_P(SalvageFuzzTest, RandomCorruptionNeverBreaksScanInvariants) {
     // kPartialHeader: fewer bytes than a header after the last frame.
     expect_drops(log + log.substr(0, 5),
                  {{log.size(), 5, SalvageDropReason::kPartialHeader}});
+    // Frame k's length word set past EOF: the scanner resyncs at frame
+    // k+1 and reports frame k as a bad checksum, and strict reading
+    // must refuse the frames it resynced to rather than drop them as a
+    // torn tail.
+    std::string past_eof = log;
+    std::string length_word;
+    storage::AppendFixed32(&length_word, static_cast<uint32_t>(log.size()));
+    past_eof.replace(at, 4, length_word);
+    expect_drops(past_eof,
+                 {{at, extent(k), SalvageDropReason::kBadChecksum}});
+    EXPECT_TRUE(storage::ReadLogRecords(past_eof).status().IsDataLoss());
   }
 
   // Inflict 1-4 random mutilations: byte flips, range erasures, and
@@ -641,14 +651,14 @@ TEST_P(SalvageFuzzTest, RandomCorruptionNeverBreaksScanInvariants) {
     }
   }
 
-  storage::SalvageResult result = storage::WalSalvager::Scan(hurt);
+  storage::LogScan result = storage::ScanLogRecords(hurt);
   // Accounting invariant: every byte is either kept or dropped.
   EXPECT_EQ(result.report.bytes_kept + result.report.bytes_dropped,
             hurt.size());
   EXPECT_EQ(result.report.frames_kept, result.frames.size());
   // Every kept frame re-verifies against the mutated file at its
   // reported offset — the scanner never invents data.
-  for (const storage::SalvagedFrame& frame : result.frames) {
+  for (const storage::LogFrame& frame : result.frames) {
     ASSERT_LE(frame.offset + storage::kRecordHeaderSize + frame.payload.size(),
               hurt.size());
     EXPECT_EQ(hurt.substr(frame.offset + storage::kRecordHeaderSize,
@@ -665,13 +675,34 @@ TEST_P(SalvageFuzzTest, RandomCorruptionNeverBreaksScanInvariants) {
     EXPECT_LE(range.offset + range.length, hurt.size());
     last_end = range.offset + range.length;
   }
+  // Strict reading is this scan refused: it accepts the file iff the
+  // only damage is a torn tail (one dropped range from the end of the
+  // clean prefix to EOF), and then returns exactly the scan's frames.
+  const bool torn_tail_only =
+      result.report.clean ||
+      (result.report.dropped.size() == 1 &&
+       result.report.dropped[0].offset == result.report.clean_prefix_bytes &&
+       result.report.dropped[0].offset + result.report.dropped[0].length ==
+           hurt.size());
+  auto strict = storage::ReadLogRecords(hurt);
+  EXPECT_EQ(strict.ok(), torn_tail_only) << strict.status().ToString();
+  if (strict.ok()) {
+    ASSERT_EQ(strict->records.size(), result.frames.size());
+    for (size_t i = 0; i < result.frames.size(); ++i) {
+      EXPECT_EQ(strict->records[i], result.frames[i].payload);
+    }
+    EXPECT_EQ(strict->valid_bytes, result.report.clean_prefix_bytes);
+    EXPECT_EQ(strict->dropped_torn_tail, !result.report.clean);
+  } else {
+    EXPECT_TRUE(strict.status().IsDataLoss()) << strict.status().ToString();
+  }
   // Salvage output is a fixed point: a log rebuilt from the kept
   // frames scans clean and keeps them all.
   std::string repaired;
-  for (const storage::SalvagedFrame& frame : result.frames) {
+  for (const storage::LogFrame& frame : result.frames) {
     storage::AppendRecordTo(&repaired, frame.payload);
   }
-  storage::SalvageResult rescan = storage::WalSalvager::Scan(repaired);
+  storage::LogScan rescan = storage::ScanLogRecords(repaired);
   EXPECT_TRUE(rescan.report.clean);
   EXPECT_EQ(rescan.frames.size(), result.frames.size());
 }

@@ -28,7 +28,6 @@
 #include "storage/crashsim.h"
 #include "storage/database.h"
 #include "storage/partition.h"
-#include "storage/salvage.h"
 #include "storage/scrub.h"
 #include "storage/wal.h"
 
@@ -239,7 +238,7 @@ void CorruptLogFrame(const std::string& dir, size_t frame) {
   const std::string wal = Database::WalPath(dir);
   std::string bytes =
       FileEnv::Default()->ReadFileToString(wal).ValueOrDie();
-  SalvageResult clean = WalSalvager::Scan(bytes);
+  LogScan clean = ScanLogRecords(bytes);
   ASSERT_TRUE(clean.report.clean);
   ASSERT_GT(clean.frames.size(), frame);
   bytes[clean.frames[frame].offset + kRecordHeaderSize] ^= 0x40;
@@ -351,11 +350,13 @@ struct HandLog {
 HandLog BuildHandLogBase(const std::string& dir) {
   HandLog log;
   const std::string wal = Database::WalPath(dir);
+  // Records borrow the bytes they were read from; copy them out.
   const auto read_payloads = [&wal] {
-    return ReadLogRecords(
-               FileEnv::Default()->ReadFileToString(wal).ValueOrDie())
-        .ValueOrDie()
-        .records;
+    const std::string bytes =
+        FileEnv::Default()->ReadFileToString(wal).ValueOrDie();
+    const LogContents contents = ReadLogRecords(bytes).ValueOrDie();
+    return std::vector<std::string>(contents.records.begin(),
+                                    contents.records.end());
   };
   Database db = Database::Open(dir, PaperDatabase()).ValueOrDie();
   std::vector<Operation> ops = FigureWorkload(db.scheme());
@@ -385,8 +386,10 @@ TEST(SalvageOpenTest, SalvageOfCleanDatabaseMatchesStrict) {
   // One hand-framed log per replay outcome. Rows without `stop_reason`
   // replay every tail record, and strict and salvage must agree on
   // them. The others put a bad record at index 2: strict must refuse
-  // with kDataLoss naming it, salvage must replay exactly records 0-1
-  // and quarantine the rest as unreplayable.
+  // with kDataLoss naming it and leave the log as it was, salvage must
+  // replay exactly records 0-1 and quarantine the rest as
+  // unreplayable — except a record whose damaged length word the
+  // scanner already drops, which it reports as a bad checksum.
   const HandLog hand = BuildHandLogBase(MakeTempDir());
   ASSERT_EQ(hand.residue.size(), 2u);
   ASSERT_EQ(hand.tail.size(), 4u);
@@ -410,6 +413,7 @@ TEST(SalvageOpenTest, SalvageOfCleanDatabaseMatchesStrict) {
     std::vector<std::string> records;
     std::string torn_tail;
     const char* stop_reason;  // nullptr: the whole log replays
+    bool length_past_eof = false;  // record 2's length word overruns EOF
   };
   const auto stopped_at_2 = [&](const char* name, std::string bad,
                                 const char* reason) {
@@ -439,6 +443,8 @@ TEST(SalvageOpenTest, SalvageOfCleanDatabaseMatchesStrict) {
                    "record 2 does not replay"),
       stopped_at_2("no operations", SeqPayload(4, ""),
                    "record 2 holds no operations"),
+      {"length word past EOF", hand.tail, "", "is damaged (bad-checksum",
+       /*length_past_eof=*/true},
   };
 
   for (const Row& row : rows) {
@@ -450,6 +456,11 @@ TEST(SalvageOpenTest, SalvageOfCleanDatabaseMatchesStrict) {
       AppendRecordTo(&bytes, payload);
     }
     bytes += row.torn_tail;
+    if (row.length_past_eof) {
+      std::string length_word;
+      AppendFixed32(&length_word, static_cast<uint32_t>(bytes.size()));
+      bytes.replace(offsets[2], 4, length_word);
+    }
     const auto open = [&](SalvageMode mode) {
       const std::string dir = MakeTempDir();
       BuildHandLogBase(dir);
@@ -491,19 +502,28 @@ TEST(SalvageOpenTest, SalvageOfCleanDatabaseMatchesStrict) {
     EXPECT_NE(strict.status().message().find(row.stop_reason),
               std::string::npos)
         << strict.status().ToString();
+    EXPECT_EQ(FileEnv::Default()
+                  ->ReadFileToString(Database::WalPath(strict_dir))
+                  .ValueOrDie(),
+              bytes);
 
     EXPECT_TRUE(got.salvaged);
     EXPECT_EQ(got.ops_replayed, 2u);
-    EXPECT_EQ(got.ops_quarantined, 3u);
+    // Records 2 onwards are dropped; a record the scan already dropped
+    // is not one replay quarantines.
+    const size_t dropped = row.records.size() - 2;
+    EXPECT_EQ(got.ops_quarantined, dropped - (row.length_past_eof ? 1 : 0));
     EXPECT_EQ(salvage->log_ops(), 2u);
     EXPECT_EQ(got.bytes_truncated, bytes.size() - offsets[2]);
     EXPECT_TRUE(salvage->scheme() == hand.states[2].scheme);
     EXPECT_TRUE(
         graph::IsIsomorphic(salvage->instance(), hand.states[2].instance));
-    ASSERT_EQ(got.salvage.dropped.size(), 3u);
-    for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(got.salvage.dropped.size(), dropped);
+    for (size_t i = 0; i < dropped; ++i) {
       const DroppedRange& range = got.salvage.dropped[i];
-      EXPECT_EQ(range.reason, SalvageDropReason::kUnreplayable);
+      EXPECT_EQ(range.reason, i == 0 && row.length_past_eof
+                                  ? SalvageDropReason::kBadChecksum
+                                  : SalvageDropReason::kUnreplayable);
       EXPECT_EQ(range.offset, offsets[2 + i]);
       EXPECT_EQ(range.length,
                 kRecordHeaderSize + row.records[2 + i].size());

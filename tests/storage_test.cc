@@ -166,6 +166,17 @@ TEST(WalFormatTest, TornTailVariantsAreDropped) {
   LogContents contents = ReadLogRecords(corrupt_last).ValueOrDie();
   EXPECT_EQ(contents.records.size(), 2u);
   EXPECT_TRUE(contents.dropped_torn_tail);
+
+  // So is a torn record whose payload opens with eight zero bytes (a
+  // log's first sequence number): they frame an empty payload, which
+  // the scanner must not take for a resync point.
+  std::string zero_seq = base;
+  AppendRecordTo(&zero_seq, std::string(8, '\0') + "gamma");
+  zero_seq.resize(zero_seq.size() - 2);
+  contents = ReadLogRecords(zero_seq).ValueOrDie();
+  EXPECT_EQ(contents.records.size(), 2u);
+  EXPECT_TRUE(contents.dropped_torn_tail);
+  EXPECT_EQ(contents.valid_bytes, base_size);
 }
 
 TEST(WalFormatTest, InteriorCorruptionIsDataLoss) {
@@ -173,10 +184,20 @@ TEST(WalFormatTest, InteriorCorruptionIsDataLoss) {
   AppendRecordTo(&file, "alpha");
   const size_t first_payload_at = kRecordHeaderSize;
   AppendRecordTo(&file, "beta");
-  file[first_payload_at] ^= 0x40;  // damage "alpha", "beta" still follows
-  auto result = ReadLogRecords(file);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDataLoss()) << result.status();
+  std::string flipped = file;
+  flipped[first_payload_at] ^= 0x40;  // damage "alpha", "beta" still follows
+  // A length word declaring more bytes than the file holds, with the
+  // intact "beta" after it: "beta" was acknowledged, so this is not a
+  // torn tail to drop.
+  std::string past_eof = file;
+  std::string length_word;
+  AppendFixed32(&length_word, static_cast<uint32_t>(file.size()));
+  past_eof.replace(0, 4, length_word);
+  for (const std::string& damaged : {flipped, past_eof}) {
+    auto result = ReadLogRecords(damaged);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsDataLoss()) << result.status();
+  }
 }
 
 // ---------------------------------------------------------------------------
